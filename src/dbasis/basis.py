@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .context import BinaryContext, ReductionRecord, reduce_context
+from .context import BinaryContext, ReductionRecord, _bits, reduce_context
 from .dualization import Hypergraph, dualize_streaming, minimize
 from .lattice import (ArrowTable, DRelation, PartialOrder, attribute_order,
-                      compute_arrows, compute_d_relation, up_objects)
+                      compute_arrows, compute_d_relation)
 
 
 class EmptySectorError(ValueError):
@@ -97,18 +97,19 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     every such object's complement, which is exactly the condition for
     the premise to imply b.
     """
-    if b not in d.sectors:
+    if b not in ctx.attribute_index:
         raise KeyError(f"unknown attribute label: {b!r}")
-    bd = d.sectors[b]
-    if not bd:
+    bj = ctx.attribute_index[b]
+    sector = d.sector_masks[bj]
+    if not sector:
         raise EmptySectorError(f"attribute {b!r} has no nontrivial covers")
-    labels = tuple(sorted(bd, key=ctx.attribute_index.__getitem__))
-    vid = {a: k for k, a in enumerate(labels)}
+    labels = tuple(ctx.attributes[c] for c in _bits(sector))
+    vid = {c: k for k, c in enumerate(_bits(sector))}
     edges = []
-    for m_obj in sorted(up_objects(arrows, b), key=ctx.object_index.__getitem__):
-        uncovered = frozenset(vid[c] for c in bd if not ctx.has(m_obj, c))
+    for i in _bits(arrows.up_cols[bj]):
+        uncovered = sector & ~ctx.row_masks[i]
         assert uncovered, "an up-arrow object holds the whole sector"
-        edges.append(uncovered)
+        edges.append(frozenset(vid[c] for c in _bits(uncovered)))
     assert edges, "nonempty sector without up arrows"
     return minimize(Hypergraph(len(labels), tuple(edges))), labels
 
@@ -171,11 +172,11 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
 
     A non-binary rule X -> b is out when replacing some x in X by all
     attributes strictly below x still yields b.  Binary and
-    empty-premise rules always stay in.
+    empty-premise rules always stay in.  ``order`` is ctx's own.
     """
+    if order.elements != ctx.attributes:
+        raise ValueError("order is not the attribute order of ctx")
     aidx = ctx.attribute_index
-    below_mask = {a: sum(1 << aidx[c] for c in order.strictly_below(a))
-                  for a in order.elements}
     out = []
     for r in rules:
         if len(r.premise) < 2:
@@ -185,7 +186,7 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
         bbit = 1 << aidx[r.conclusion]
         excluded = False
         for x in r.premise:
-            repl = (pmask & ~(1 << aidx[x])) | below_mask[x]
+            repl = (pmask & ~(1 << aidx[x])) | order.below_masks[aidx[x]]
             if ctx.closure_mask(repl) & bbit:
                 excluded = True
                 break
@@ -197,8 +198,7 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
 
 
 def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
-                       *, metrics_ctx: BinaryContext | None = None
-                       ) -> list[Implication]:
+                       *, metrics_ctx: BinaryContext) -> list[Implication]:
     """Translate a basis over the reduced attributes back to all of them.
 
     Every removed attribute a with substitution X_a contributes
@@ -207,33 +207,21 @@ def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
     attribute set instead contributes a -> x for every other original
     attribute; note such an attribute is reachable as a conclusion only
     through those of its rules, i.e. not at all, matching the
-    reduction's bookkeeping.
+    reduction's bookkeeping.  Rules are measured on ``metrics_ctx``.
     """
     out = list(rules)
     subs = record.attribute_substitutions
-    if metrics_ctx is not None:
-        universe = list(metrics_ctx.attributes)
-        aidx = metrics_ctx.attribute_index
-
-        def mk(premise, conclusion):
-            return measure(metrics_ctx, premise, conclusion)
-    else:
-        universe = list(record.kept_attributes) + list(subs)
-        aidx = {a: k for k, a in enumerate(universe)}
-
-        def mk(premise, conclusion):
-            return Implication(frozenset(premise), conclusion)
-
+    aidx = metrics_ctx.attribute_index
     for a in sorted(subs, key=aidx.__getitem__):
         if a in record.saturated_attributes:
-            for x in universe:
+            for x in metrics_ctx.attributes:
                 if x != a:
-                    out.append(mk({a}, x))
+                    out.append(measure(metrics_ctx, {a}, x))
         else:
             x_a = subs[a]
-            out.append(mk(x_a, a))
+            out.append(measure(metrics_ctx, x_a, a))
             for x in sorted(x_a, key=aidx.__getitem__):
-                out.append(mk({a}, x))
+                out.append(measure(metrics_ctx, {a}, x))
     return out
 
 
@@ -273,7 +261,7 @@ def evaluation_order(rules: Iterable[Implication],
             block, depth = 1, 0
         elif r.conclusion in known and len(r.premise) == 1:
             (x,) = r.premise
-            block, depth = 2, -len(order.strictly_below(x))
+            block, depth = 2, -order.below_masks[idx[x]].bit_count()
         elif r.conclusion in known:
             block, depth = 3, 0
         else:
@@ -358,10 +346,12 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
 
     ``worker_count`` parallelizes sector dualization; results are merged
     in a fixed order, so the output is identical for any count.  0
-    picks the machine's CPU count.  A target in the query restricts
-    dualization to that attribute's sector.
+    picks the machine's CPU count; a negative count is rejected.  A
+    target in the query restricts dualization to that attribute's sector.
     """
     query = query or RuleQuery()
+    if worker_count < 0:
+        raise ValueError("worker_count must be non-negative")
     if query.min_support > len(ctx.objects):
         raise ValueError("min_support exceeds the number of objects")
     if query.target is not None and query.target not in ctx.attribute_index:

@@ -13,6 +13,7 @@ large for an exact enumeration subcommand.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ class RunConfig:
     output_format: str = "text"
     worker_count: int = 1
     full_binary: bool = False
-    seed: int | None = None  # reserved for test generators; the pipeline is exact
 
 
 def _read(path: str) -> str:
@@ -51,6 +51,9 @@ def _read(path: str) -> str:
 def run(cfg: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    if cfg.leave_out_k and (cfg.worker_count != 1 or cfg.full_binary):
+        raise ValueError("--workers and --full-binary do not apply to "
+                         "leave-K-out (--leave-out)")
     started = time.perf_counter()
     ctx = parse_context(_read(cfg.input_path), cfg.input_format)
     query = RuleQuery(target=cfg.target, min_support=cfg.min_support,
@@ -83,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     target=args.target, basis_kind=args.basis,
                     min_support=args.min_support, leave_out_k=args.leave_out,
                     output_format=args.output, worker_count=args.workers,
-                    full_binary=args.full_binary, seed=args.seed)
+                    full_binary=args.full_binary)
     return run(cfg)
 
 
@@ -137,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sector dualization processes (0 = cpu count)")
     p.add_argument("--full-binary", action="store_true",
                    help="emit all binary order pairs, not just covers")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved for generators; the pipeline itself is exact")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("dualize", help="minimal transversals of an edge list")
@@ -160,6 +161,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader went away (``dbasis run ... | head``), which is not an
+        # error; stdout goes to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ParseError as exc:
         print(f"dbasis: {exc}", file=sys.stderr)
         return 2

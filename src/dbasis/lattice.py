@@ -6,43 +6,48 @@ relations can be read off the table itself: a cell (i, j) holds a 1
 exactly when j's lattice element lies below i's.  Everything here
 requires a reduced context; duplicate rows or columns are rejected
 outright, full irreducibility is the caller's contract.
+
+Orders, arrows and sectors are stored as int bitmasks; their label
+forms (``arrows.up``, ``d.sectors``) are views built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .context import BinaryContext, _bits
 
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """Strict-downset representation of a partial order on labels."""
+    """``below_masks[k]`` masks the elements strictly below ``elements[k]``."""
 
     elements: tuple[str, ...]
-    below: dict[str, frozenset[str]]
+    below_masks: tuple[int, ...]
 
     def leq(self, x: str, y: str) -> bool:
-        return x == y or x in self.below[y]
+        return x == y or x in self.strictly_below(y)
 
     def strictly_below(self, x: str) -> frozenset[str]:
-        return self.below[x]
+        mask = self.below_masks[self.elements.index(x)]
+        return frozenset(self.elements[k] for k in _bits(mask))
 
     def pairs(self) -> set[tuple[str, str]]:
         """All strict pairs (lower, upper)."""
-        return {(lo, up) for up, los in self.below.items() for lo in los}
+        return {(self.elements[lo], up)
+                for up, below in zip(self.elements, self.below_masks)
+                for lo in _bits(below)}
 
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (lower, upper): nothing sits strictly between."""
         out = []
-        for up in self.elements:
-            for lo in self.below[up]:
-                if not any(lo in self.below[mid] for mid in self.below[up]):
-                    out.append((lo, up))
-        index = {a: k for k, a in enumerate(self.elements)}
-        out.sort(key=lambda p: (index[p[0]], index[p[1]]))
-        return out
+        for up, below in enumerate(self.below_masks):
+            between = 0
+            for mid in _bits(below):
+                between |= self.below_masks[mid]
+            out.extend((lo, up) for lo in _bits(below & ~between))
+        return [(self.elements[lo], self.elements[up]) for lo, up in sorted(out)]
 
 
 def _check_clarified(ctx: BinaryContext):
@@ -52,42 +57,60 @@ def _check_clarified(ctx: BinaryContext):
         raise ValueError("context has duplicate columns; reduce it first")
 
 
+def _strict_supersets(masks: Sequence[int], holders: Sequence[int]) -> list[int]:
+    """Per distinct mask, the index mask of the others containing it: the
+    AND over its bits b of ``holders[b]``, the masks having bit b."""
+    everyone = (1 << len(masks)) - 1
+    out = []
+    for k, mk in enumerate(masks):
+        fold = everyone & ~(1 << k)
+        for b in _bits(mk):
+            fold &= holders[b]
+        out.append(fold)
+    return out
+
+
 def attribute_order(ctx: BinaryContext) -> PartialOrder:
     """c <= a iff every object carrying a also carries c."""
     _check_clarified(ctx)
-    cols = ctx.column_masks
-    below = {}
-    for j, a in enumerate(ctx.attributes):
-        below[a] = frozenset(
-            ctx.attributes[k] for k, ck in enumerate(cols)
-            if k != j and cols[j] & ck == cols[j])
-    return PartialOrder(ctx.attributes, below)
+    return PartialOrder(ctx.attributes, tuple(
+        _strict_supersets(ctx.column_masks, ctx.row_masks)))
 
 
 def object_order(ctx: BinaryContext) -> PartialOrder:
     """i <= i' iff i's row is contained in i''s row (smaller intent = lower)."""
     _check_clarified(ctx)
-    rows = ctx.row_masks
-    below = {}
-    for i, g in enumerate(ctx.objects):
-        below[g] = frozenset(
-            ctx.objects[k] for k, rk in enumerate(rows)
-            if k != i and rk & rows[i] == rk)
-    return PartialOrder(ctx.objects, below)
+    above = _strict_supersets(ctx.row_masks, ctx.column_masks)
+    return PartialOrder(ctx.objects, tuple(
+        sum(1 << k for k, ak in enumerate(above) if ak >> i & 1)
+        for i in range(len(above))))
 
 
 @dataclass(frozen=True)
 class ArrowTable:
-    """Arrow decorations of the zero cells, as (attribute, object) pairs."""
+    """``up_cols[j]``, ``down_cols[j]``: object masks of column j's arrows;
+    ``up``, ``down`` and ``updown`` are (attribute, object) views."""
 
     attributes: tuple[str, ...]
     objects: tuple[str, ...]
-    up: frozenset[tuple[str, str]]
-    down: frozenset[tuple[str, str]]
+    up_cols: tuple[int, ...]
+    down_cols: tuple[int, ...]
+
+    def _pairs(self, cols: Iterable[int]) -> frozenset[tuple[str, str]]:
+        return frozenset((a, self.objects[i])
+                         for a, col in zip(self.attributes, cols) for i in _bits(col))
+
+    @property
+    def up(self) -> frozenset[tuple[str, str]]:
+        return self._pairs(self.up_cols)
+
+    @property
+    def down(self) -> frozenset[tuple[str, str]]:
+        return self._pairs(self.down_cols)
 
     @property
     def updown(self) -> frozenset[tuple[str, str]]:
-        return self.up & self.down
+        return self._pairs(u & d for u, d in zip(self.up_cols, self.down_cols))
 
 
 def compute_arrows(ctx: BinaryContext) -> ArrowTable:
@@ -95,48 +118,40 @@ def compute_arrows(ctx: BinaryContext) -> ArrowTable:
 
     (j, i) gets an up arrow when row i is intent-maximal among rows
     lacking j, and a down arrow when no column strictly above j is also
-    absent from row i.
+    absent from row i.  So row i's up arrows are the attributes it lacks
+    that every strictly larger row holds, and column j's down arrows are
+    the objects it lacks that every strictly larger column holds.
     """
     _check_clarified(ctx)
-    n, m = len(ctx.objects), len(ctx.attributes)
     rows, cols = ctx.row_masks, ctx.column_masks
-    omask = (1 << n) - 1
-
-    sup_rows = [0] * n  # objects whose row strictly contains row i
-    for i in range(n):
-        for k in range(n):
-            if k != i and rows[k] & rows[i] == rows[i] and rows[k] != rows[i]:
-                sup_rows[i] |= 1 << k
-    sup_cols = [0] * m  # attributes whose column strictly contains column j
-    for j in range(m):
-        for k in range(m):
-            if k != j and cols[k] & cols[j] == cols[j] and cols[k] != cols[j]:
-                sup_cols[j] |= 1 << k
-
-    up = set()
-    down = set()
-    for j in range(m):
-        zero = ~cols[j] & omask
-        for i in _bits(zero):
-            if not sup_rows[i] & zero:
-                up.add((ctx.attributes[j], ctx.objects[i]))
-            if sup_cols[j] & ~rows[i] == 0:
-                down.add((ctx.attributes[j], ctx.objects[i]))
-    return ArrowTable(ctx.attributes, ctx.objects, frozenset(up), frozenset(down))
+    up_cols = [0] * len(cols)
+    for i, above in enumerate(_strict_supersets(rows, cols)):
+        for j in _bits(ctx.intent_mask(above) & ~rows[i]):
+            up_cols[j] |= 1 << i
+    down_cols = tuple(ctx.extent_mask(above) & ~cols[j]
+                      for j, above in enumerate(_strict_supersets(cols, rows)))
+    return ArrowTable(ctx.attributes, ctx.objects, tuple(up_cols), down_cols)
 
 
 def up_objects(arrows: ArrowTable, b: str) -> set[str]:
     """M(b): the objects carrying an up arrow in b's column."""
     if b not in arrows.attributes:
         raise KeyError(f"unknown attribute label: {b!r}")
-    return {i for (a, i) in arrows.up if a == b}
+    col = arrows.up_cols[arrows.attributes.index(b)]
+    return {arrows.objects[i] for i in _bits(col)}
 
 
 @dataclass(frozen=True)
 class DRelation:
-    """Per-attribute sectors: b -> set of attributes c with b D c."""
+    """Attribute mask of each attribute's sector; ``sectors`` labels them."""
 
-    sectors: dict[str, frozenset[str]]
+    attributes: tuple[str, ...]
+    sector_masks: tuple[int, ...]
+
+    @property
+    def sectors(self) -> dict[str, frozenset[str]]:
+        return {b: frozenset(self.attributes[c] for c in _bits(mask))
+                for b, mask in zip(self.attributes, self.sector_masks)}
 
 
 def compute_d_relation(arrows: ArrowTable) -> DRelation:
@@ -145,33 +160,24 @@ def compute_d_relation(arrows: ArrowTable) -> DRelation:
     The relation is taken irreflexive: b itself never enters its own
     sector even when b carries both arrows at the same object.
     """
-    down_at: dict[str, set[str]] = {i: set() for i in arrows.objects}
-    for (c, i) in arrows.down:
-        down_at[i].add(c)
-    sectors: dict[str, frozenset[str]] = {}
-    collected: dict[str, set[str]] = {b: set() for b in arrows.attributes}
-    for (b, i) in arrows.up:
-        collected[b] |= down_at[i]
-    for b in arrows.attributes:
-        collected[b].discard(b)
-        sectors[b] = frozenset(collected[b])
-    return DRelation(sectors)
+    return DRelation(arrows.attributes, tuple(
+        sum(1 << c for c, down in enumerate(arrows.down_cols) if up & down)
+        & ~(1 << b) for b, up in enumerate(arrows.up_cols)))
 
 
 def render_arrow_table(ctx: BinaryContext, arrows: ArrowTable) -> str:
     """The reduced table with 1/0/up/down/both glyphs, for eyeballing."""
-    up, down = arrows.up, arrows.down
     widths = [max(len(a), 1) for a in ctx.attributes]
     w0 = max((len(g) for g in ctx.objects), default=1)
     lines = [" ".join([" " * w0] + [a.rjust(w) for a, w in zip(ctx.attributes, widths)])]
     for i, g in enumerate(ctx.objects):
         cells = []
-        for j, a in enumerate(ctx.attributes):
+        for j in range(len(ctx.attributes)):
             if ctx.bit(i, j):
                 glyph = "1"
             else:
-                u = (a, g) in up
-                d = (a, g) in down
+                u = arrows.up_cols[j] >> i & 1
+                d = arrows.down_cols[j] >> i & 1
                 glyph = "↕" if u and d else "↑" if u else "↓" if d else "0"
             cells.append(glyph.rjust(widths[j]))
         lines.append(" ".join([g.ljust(w0)] + cells))

@@ -7,8 +7,8 @@ from dbasis import (BinaryContext, EmptySectorError, Implication, RuleQuery,
                     attribute_order, binary_part, compute_arrows,
                     compute_basis, compute_d_relation, evaluation_order,
                     expand_to_original, extract_sector, leave_k_out_rules,
-                    measure, ordered_closure, reduce_context,
-                    refine_to_d_basis, sector_hypergraph)
+                    measure, object_order, ordered_closure,
+                    reduce_context, refine_to_d_basis, sector_hypergraph)
 from dbasis.basis import canonical_sort, format_rule_jsonl, format_rule_text
 from dbasis.oracle import brute_min_covers, replacement_excluded
 
@@ -127,6 +127,13 @@ def test_refine_golden_flags():
     assert flags[(frozenset({"a2", "c1"}), "b")] is True
     assert flags[(frozenset({"a2", "c1"}), "a1")] is True
     assert sum(not v for v in flags.values()) == 1
+
+
+def test_refine_rejects_an_order_of_other_elements():
+    # the order's masks index ctx's columns, so another order cannot stand in
+    ctx = reduced_golden_context()
+    with pytest.raises(ValueError):
+        refine_to_d_basis(ctx, object_order(ctx), [])
 
 
 def test_refine_matches_exhaustive_replacement():

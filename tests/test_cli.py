@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from dbasis.cli import RunConfig, build_parser, main, run
 
-from helpers import GOLDEN_CSV
+from helpers import GOLDEN_CSV, random_context
 
 GOLDEN_TEXT_RULES = [
     "v -> b [support=1, confidence=1, d_basis=true]",
@@ -93,6 +94,20 @@ def test_run_leave_out(golden_file, capsys):
     assert main(["run", golden_file, "--leave-out", "5"]) == 2
 
 
+def test_run_leave_out_rejects_flags_it_cannot_honour(golden_file, capsys):
+    assert main(["run", golden_file, "--leave-out", "1", "--workers", "2"]) == 2
+    assert "leave-K-out" in capsys.readouterr().err
+    assert main(["run", golden_file, "--leave-out", "1", "--full-binary"]) == 2
+    assert "leave-K-out" in capsys.readouterr().err
+
+
+def test_run_rejects_negative_workers(golden_file, capsys):
+    assert main(["run", golden_file, "--workers", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "worker_count" in captured.err
+
+
 def test_run_leave_out_zero_matches_plain(golden_file, capsys):
     assert main(["run", golden_file, "--leave-out", "0"]) == 0
     assert capsys.readouterr().out.splitlines() == GOLDEN_TEXT_RULES
@@ -172,7 +187,6 @@ def test_run_config_defaults():
     assert cfg.basis_kind == "d-basis"
     assert cfg.worker_count == 1
     assert cfg.leave_out_k == 0
-    assert cfg.seed is None
 
 
 def test_parser_requires_subcommand(capsys):
@@ -188,3 +202,28 @@ def test_console_entry_point(golden_file):
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == GOLDEN_TEXT_RULES
     assert "elapsed:" in proc.stderr
+
+
+def test_reader_closing_early_is_not_an_error(tmp_path):
+    # about 240 kB of rules, far more than a pipe buffers, so the writer
+    # is still printing when the reader hangs up (``dbasis run t | head``)
+    ctx = random_context(random.Random(5), 14, 28, 0.4)
+    lines = [",".join(ctx.attributes)] + [
+        ",".join([g] + [str(int(ctx.bit(i, j)))
+                        for j in range(len(ctx.attributes))])
+        for i, g in enumerate(ctx.objects)]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dbasis", "run", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().endswith(b"]\n")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert code == 0

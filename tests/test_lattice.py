@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from dbasis import (attribute_order, compute_arrows, compute_d_relation,
-                    object_order, reduce_context, render_arrow_table,
+from dbasis import (Hypergraph, attribute_order, compute_arrows,
+                    compute_d_relation, minimize, object_order,
+                    reduce_context, render_arrow_table, sector_hypergraph,
                     up_objects)
 from dbasis.oracle import arrows_via_lattice, brute_d_sectors
 
@@ -71,6 +72,53 @@ def test_arrows_match_lattice_oracle():
         oracle_up, oracle_down = arrows_via_lattice(ctx)
         assert arrows.up == oracle_up
         assert arrows.down == oracle_down
+
+
+def test_wide_masks_match_per_cell_definitions():
+    # Past 64 objects and 64 attributes every mask spans several machine
+    # words.  The lattice oracle stops at 20 attributes, so the docstring
+    # definitions are evaluated here one cell at a time.
+    for seed in (41, 43):
+        ctx, _ = reduce_context(random_context(random.Random(seed), 150, 120,
+                                               0.04))
+        objs, attrs = ctx.objects, ctx.attributes
+        assert len(objs) > 64 and len(attrs) > 64
+        rows, cols = ctx.row_masks, ctx.column_masks
+        rows_above = [[k for k, rk in enumerate(rows)
+                       if rk != r and rk & r == r] for r in rows]
+        cols_above = [[k for k, ck in enumerate(cols)
+                       if ck != c and ck & c == c] for c in cols]
+        up, down = set(), set()
+        for i, g in enumerate(objs):
+            for j, a in enumerate(attrs):
+                if ctx.has(g, a):
+                    continue
+                # row i is intent-maximal among the rows lacking a
+                if all(ctx.has(objs[k], a) for k in rows_above[i]):
+                    up.add((a, g))
+                # no column strictly above a is absent from row i
+                if all(ctx.has(g, attrs[k]) for k in cols_above[j]):
+                    down.add((a, g))
+        arrows = compute_arrows(ctx)
+        assert arrows.up == up
+        assert arrows.down == down
+
+        down_at = {g: set() for g in objs}
+        for c, g in down:
+            down_at[g].add(c)
+        sectors = {b: set() for b in attrs}
+        for b, g in up:
+            sectors[b] |= down_at[g] - {b}
+        d = compute_d_relation(arrows)
+        assert d.sectors == sectors
+
+        for b in attrs[::12]:
+            labels = tuple(c for c in attrs if c in sectors[b])
+            edges = [frozenset(v for v, c in enumerate(labels)
+                               if not ctx.has(g, c))
+                     for g in objs if (b, g) in up]
+            expected = minimize(Hypergraph(len(labels), tuple(edges)))
+            assert sector_hypergraph(ctx, arrows, d, b) == (expected, labels)
 
 
 def test_up_objects_golden():
