@@ -183,11 +183,12 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
             out.append(r if r.in_d_basis else replace(r, in_d_basis=True))
             continue
         pmask = sum(1 << aidx[a] for a in r.premise)
-        bbit = 1 << aidx[r.conclusion]
+        outside_b = ~ctx.column_masks[aidx[r.conclusion]]
         excluded = False
         for x in r.premise:
             repl = (pmask & ~(1 << aidx[x])) | order.below_masks[aidx[x]]
-            if ctx.closure_mask(repl) & bbit:
+            # b is in the closure of repl iff repl's extent lies in b's column
+            if ctx.extent_mask(repl) & outside_b == 0:
                 excluded = True
                 break
         out.append(replace(r, in_d_basis=not excluded))

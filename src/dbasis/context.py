@@ -4,11 +4,13 @@ A table is a relation between objects (rows) and attributes (columns).
 Rows and columns are stored twice, as integer bitmasks, so that both
 support directions are single AND-folds over machine words.
 
-Reduction removes duplicate and expressible rows/columns until only the
-join-irreducible attributes and meet-irreducible objects remain; the
-Galois lattice of the result is isomorphic to the original one.  A
-``ReductionRecord`` keeps enough bookkeeping to translate rules computed
-on the reduced table back to the original attribute set.
+Reduction clarifies the table (drops duplicate columns, then duplicate
+rows), then keeps the columns with a down arrow and the rows with an up
+arrow, in one pass.  What remains are the join-irreducible attributes
+and meet-irreducible objects; the Galois lattice of the result is
+isomorphic to the original one.  A ``ReductionRecord`` keeps enough
+bookkeeping to translate rules computed on the reduced table back to
+the original attribute set.
 """
 
 from __future__ import annotations
@@ -28,6 +30,40 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The ``width`` masks whose bit i of mask j is bit j of ``masks[i]``.
+
+    Every mask must fit in ``width`` bits.  A mask with more ones than
+    zeros is walked by its zeros, so no mask costs over width/2 steps.
+    """
+    full = (1 << width) - 1
+    ones, zeros = [0] * width, [0] * width
+    dense = 0
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        if 2 * mask.bit_count() > width:
+            dense |= bit
+            for j in _bits(full ^ mask):
+                zeros[j] |= bit
+        else:
+            for j in _bits(mask):
+                ones[j] |= bit
+    return [one | dense & ~zero for one, zero in zip(ones, zeros)]
+
+
+def _strict_supersets(masks: Sequence[int], holders: Sequence[int]) -> list[int]:
+    """Per distinct mask, the index mask of the others containing it: the
+    AND over its bits b of ``holders[b]``, the masks having bit b."""
+    everyone = (1 << len(masks)) - 1
+    out = []
+    for k, mk in enumerate(masks):
+        fold = everyone & ~(1 << k)
+        for b in _bits(mk):
+            fold &= holders[b]
+        out.append(fold)
+    return out
+
+
 class BinaryContext:
     """Immutable 0/1 table with labelled objects and attributes."""
 
@@ -36,15 +72,8 @@ class BinaryContext:
 
     def __init__(self, objects: Sequence[str], attributes: Sequence[str],
                  rows: Iterable[Iterable[int]]):
-        self._objects = tuple(objects)
-        self._attributes = tuple(attributes)
-        if len(set(self._objects)) != len(self._objects):
-            raise ParseError("duplicate object labels")
-        if len(set(self._attributes)) != len(self._attributes):
-            raise ParseError("duplicate attribute labels")
-        self._obj_index = {g: i for i, g in enumerate(self._objects)}
-        self._attr_index = {a: j for j, a in enumerate(self._attributes)}
-        m = len(self._attributes)
+        objects, attributes = tuple(objects), tuple(attributes)
+        m = len(attributes)
         row_masks = []
         for bits in rows:
             row = 0
@@ -58,14 +87,31 @@ class BinaryContext:
             if count != m:
                 raise ParseError(f"row has {count} entries, expected {m}")
             row_masks.append(row)
-        if len(row_masks) != len(self._objects):
+        if len(row_masks) != len(objects):
             raise ParseError("row count does not match object count")
-        self._rows = tuple(row_masks)
-        cols = [0] * m
-        for i, row in enumerate(self._rows):
-            for j in _bits(row):
-                cols[j] |= 1 << i
-        self._cols = tuple(cols)
+        self._assign(objects, attributes, tuple(row_masks))
+
+    @classmethod
+    def _from_masks(cls, objects: Sequence[str], attributes: Sequence[str],
+                    row_masks: Iterable[int]) -> "BinaryContext":
+        """Table whose row i is the attribute mask ``row_masks[i]``; every
+        mask must fit in ``len(attributes)`` bits."""
+        ctx = cls.__new__(cls)
+        ctx._assign(tuple(objects), tuple(attributes), tuple(row_masks))
+        return ctx
+
+    def _assign(self, objects: tuple[str, ...], attributes: tuple[str, ...],
+                row_masks: tuple[int, ...]):
+        if len(set(objects)) != len(objects):
+            raise ParseError("duplicate object labels")
+        if len(set(attributes)) != len(attributes):
+            raise ParseError("duplicate attribute labels")
+        self._objects = objects
+        self._attributes = attributes
+        self._obj_index = {g: i for i, g in enumerate(objects)}
+        self._attr_index = {a: j for j, a in enumerate(attributes)}
+        self._rows = row_masks
+        self._cols = tuple(_transpose(row_masks, len(attributes)))
 
     # -- basic accessors ------------------------------------------------
 
@@ -174,11 +220,13 @@ class BinaryContext:
     def restrict(self, obj_indices: Sequence[int],
                  attr_indices: Sequence[int]) -> "BinaryContext":
         """Sub-table on the given row/column indices (labels preserved)."""
-        objects = [self._objects[i] for i in obj_indices]
-        attributes = [self._attributes[j] for j in attr_indices]
-        rows = [[self._rows[i] >> j & 1 for j in attr_indices]
+        new_pos = {j: k for k, j in enumerate(attr_indices)}
+        kept = sum(1 << j for j in new_pos)
+        rows = [sum(1 << new_pos[j] for j in _bits(self._rows[i] & kept))
                 for i in obj_indices]
-        return BinaryContext(objects, attributes, rows)
+        return BinaryContext._from_masks(
+            [self._objects[i] for i in obj_indices],
+            [self._attributes[j] for j in attr_indices], rows)
 
 
 # -- parsing --------------------------------------------------------------
@@ -201,15 +249,16 @@ def parse_dense_csv(text: str) -> BinaryContext:
                 f"row {len(objects) + 1} has {len(toks) - 1} entries, "
                 f"expected {len(attributes)}")
         objects.append(toks[0])
-        row = []
-        for tok in toks[1:]:
-            if tok not in ("0", "1"):
+        row = 0
+        for j, tok in enumerate(toks[1:]):
+            if tok == "1":
+                row |= 1 << j
+            elif tok != "0":
                 raise ParseError(f"matrix entry must be 0 or 1, got {tok!r}")
-            row.append(int(tok))
         rows.append(row)
     if not rows:
         raise ParseError("empty table")
-    return BinaryContext(objects, attributes, rows)
+    return BinaryContext._from_masks(objects, attributes, rows)
 
 
 def parse_fimi(text: str) -> BinaryContext:
@@ -237,13 +286,8 @@ def parse_fimi(text: str) -> BinaryContext:
     attributes = [str(item) for item in universe]
     pos = {item: j for j, item in enumerate(universe)}
     objects = [str(i) for i in range(1, len(transactions) + 1)]
-    rows = []
-    for items in transactions:
-        row = [0] * len(universe)
-        for item in items:
-            row[pos[item]] = 1
-        rows.append(row)
-    return BinaryContext(objects, attributes, rows)
+    rows = [sum(1 << pos[item] for item in items) for items in transactions]
+    return BinaryContext._from_masks(objects, attributes, rows)
 
 
 def parse_context(data: str | bytes | IO, input_format: str) -> BinaryContext:
@@ -283,123 +327,62 @@ class ReductionRecord:
     saturated_attributes: frozenset[str] = frozenset()
 
 
-def _expressible(masks: list[int], k: int, universe: int) -> bool:
-    """Is masks[k] the intersection of its proper supersets in the list?"""
-    me = masks[k]
-    inter = universe
-    for idx, other in enumerate(masks):
-        if idx != k and other & me == me and other != me:
-            inter &= other
-    return inter == me
-
-
 def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
-    """Remove duplicate and expressible rows/columns, to a fixpoint.
+    """Clarify the table, then keep the columns with a down arrow and the
+    rows with an up arrow.
 
     Kept attributes are exactly the join irreducibles of the Galois
     lattice, kept objects the meet irreducibles; the reduced lattice is
-    isomorphic to the original.  Degenerate inputs may reduce to an
-    empty table.
+    isomorphic to the original.  One pass suffices: dropping a
+    reducible row or column changes neither the lattice nor which
+    elements are irreducible, and never makes two distinct rows or
+    columns equal.  Degenerate inputs may reduce to an empty table.
     """
-    n, m = len(ctx.objects), len(ctx.attributes)
-    objs = list(range(n))
-    attrs = list(range(m))
+    first_col: dict[int, int] = {}
+    for j, col in enumerate(ctx.column_masks):
+        first_col.setdefault(col, j)
+    first_row: dict[int, int] = {}
+    for i, row in enumerate(ctx.row_masks):
+        first_row.setdefault(row, i)
+    clarified = ctx.restrict(list(first_row.values()), list(first_col.values()))
 
-    def col_of(j: int, omask: int) -> int:
-        return ctx.column_masks[j] & omask
+    # A column is reducible when it is the intersection of the columns
+    # strictly containing it, a row when it is that of its strict supersets.
+    rows, cols = clarified.row_masks, clarified.column_masks
+    keep_attrs = [j for j, above in enumerate(_strict_supersets(cols, rows))
+                  if clarified.extent_mask(above) != cols[j]]
+    keep_objs = [i for i, above in enumerate(_strict_supersets(rows, cols))
+                 if clarified.intent_mask(above) != rows[i]]
+    reduced = clarified.restrict(keep_objs, keep_attrs)
 
-    def row_of(i: int, amask: int) -> int:
-        return ctx.row_masks[i] & amask
-
-    changed = True
-    while changed:
-        changed = False
-        omask = sum(1 << i for i in objs)
-        amask = sum(1 << j for j in attrs)
-
-        seen: dict[int, int] = {}
-        dedup_attrs = []
-        for j in attrs:
-            key = col_of(j, omask)
-            if key in seen:
-                changed = True
-            else:
-                seen[key] = j
-                dedup_attrs.append(j)
-        attrs = dedup_attrs
-
-        seen = {}
-        dedup_objs = []
-        for i in objs:
-            key = row_of(i, amask)
-            if key in seen:
-                changed = True
-            else:
-                seen[key] = i
-                dedup_objs.append(i)
-        objs = dedup_objs
-
-        omask = sum(1 << i for i in objs)
-        amask = sum(1 << j for j in attrs)
-
-        cols = [col_of(j, omask) for j in attrs]
-        keep = [not _expressible(cols, k, omask) for k in range(len(attrs))]
-        if not all(keep):
-            changed = True
-            attrs = [j for j, k in zip(attrs, keep) if k]
-            amask = sum(1 << j for j in attrs)
-
-        rows = [row_of(i, amask) for i in objs]
-        keep = [not _expressible(rows, k, amask) for k in range(len(objs))]
-        if not all(keep):
-            changed = True
-            objs = [i for i, k in zip(objs, keep) if k]
-
-    reduced = ctx.restrict(objs, attrs)
-    kept_omask = sum(1 << i for i in objs)
-    kept_amask = sum(1 << j for j in attrs)
-    kept_attr_set = set(attrs)
-    kept_obj_set = set(objs)
+    kept_omask = sum(1 << ctx.object_index[g] for g in reduced.objects)
+    kept_amask = sum(1 << ctx.attribute_index[a] for a in reduced.attributes)
+    kept_col = {ctx.column_masks[ctx.attribute_index[a]] & kept_omask: a
+                for a in reduced.attributes}
+    kept_row = {ctx.row_masks[ctx.object_index[g]] & kept_amask: g
+                for g in reduced.objects}
 
     subs: dict[str, frozenset[str]] = {}
     saturated = set()
-    for j in range(m):
-        if j in kept_attr_set:
+    for j, label in enumerate(ctx.attributes):
+        if label in reduced.attribute_index:
             continue
-        label = ctx.attributes[j]
         col = ctx.column_masks[j] & kept_omask
         if col == kept_omask:
             subs[label] = frozenset()  # full column: member of closure(∅)
-            continue
-        dup = next((jj for jj in attrs
-                    if ctx.column_masks[jj] & kept_omask == col), None)
-        if dup is not None:
-            subs[label] = frozenset({ctx.attributes[dup]})
-            continue
-        intent = kept_amask
-        for i in _bits(col):
-            intent &= ctx.row_masks[i]
-        if intent == kept_amask:
-            saturated.add(label)
-            subs[label] = frozenset(ctx.attributes[jj] for jj in attrs)
-            continue
-        witness = [jj for jj in attrs
-                   if ctx.column_masks[jj] & kept_omask & col == col]
-        inter = kept_omask
-        for jj in witness:
-            inter &= ctx.column_masks[jj]
-        assert inter & kept_omask == col, "removed column is not expressible"
-        subs[label] = frozenset(ctx.attributes[jj] for jj in witness)
+        elif col in kept_col:
+            subs[label] = frozenset({kept_col[col]})
+        else:
+            witness = ctx.intent_mask(col) & kept_amask
+            if witness == kept_amask:
+                saturated.add(label)
+            else:
+                assert ctx.extent_mask(witness) & kept_omask == col, \
+                    "removed column is not expressible"
+            subs[label] = frozenset(ctx.attributes[w] for w in _bits(witness))
 
-    merges: dict[str, str | None] = {}
-    for i in range(n):
-        if i in kept_obj_set:
-            continue
-        label = ctx.objects[i]
-        row = ctx.row_masks[i] & kept_amask
-        rep = next((ii for ii in objs
-                    if ctx.row_masks[ii] & kept_amask == row), None)
-        merges[label] = ctx.objects[rep] if rep is not None else None
+    merges = {g: kept_row.get(ctx.row_masks[i] & kept_amask)
+              for i, g in enumerate(ctx.objects) if g not in reduced.object_index}
 
     record = ReductionRecord(
         kept_objects=reduced.objects,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import BinaryContext, _bits
+from .context import BinaryContext, _bits, _strict_supersets, _transpose
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,6 @@ def _check_clarified(ctx: BinaryContext):
         raise ValueError("context has duplicate columns; reduce it first")
 
 
-def _strict_supersets(masks: Sequence[int], holders: Sequence[int]) -> list[int]:
-    """Per distinct mask, the index mask of the others containing it: the
-    AND over its bits b of ``holders[b]``, the masks having bit b."""
-    everyone = (1 << len(masks)) - 1
-    out = []
-    for k, mk in enumerate(masks):
-        fold = everyone & ~(1 << k)
-        for b in _bits(mk):
-            fold &= holders[b]
-        out.append(fold)
-    return out
-
-
 def attribute_order(ctx: BinaryContext) -> PartialOrder:
     """c <= a iff every object carrying a also carries c."""
     _check_clarified(ctx)
@@ -81,9 +68,7 @@ def object_order(ctx: BinaryContext) -> PartialOrder:
     """i <= i' iff i's row is contained in i''s row (smaller intent = lower)."""
     _check_clarified(ctx)
     above = _strict_supersets(ctx.row_masks, ctx.column_masks)
-    return PartialOrder(ctx.objects, tuple(
-        sum(1 << k for k, ak in enumerate(above) if ak >> i & 1)
-        for i in range(len(above))))
+    return PartialOrder(ctx.objects, tuple(_transpose(above, len(above))))
 
 
 @dataclass(frozen=True)
@@ -124,10 +109,8 @@ def compute_arrows(ctx: BinaryContext) -> ArrowTable:
     """
     _check_clarified(ctx)
     rows, cols = ctx.row_masks, ctx.column_masks
-    up_cols = [0] * len(cols)
-    for i, above in enumerate(_strict_supersets(rows, cols)):
-        for j in _bits(ctx.intent_mask(above) & ~rows[i]):
-            up_cols[j] |= 1 << i
+    up_cols = _transpose([ctx.intent_mask(above) & ~rows[i] for i, above
+                          in enumerate(_strict_supersets(rows, cols))], len(cols))
     down_cols = tuple(ctx.extent_mask(above) & ~cols[j]
                       for j, above in enumerate(_strict_supersets(cols, rows)))
     return ArrowTable(ctx.attributes, ctx.objects, tuple(up_cols), down_cols)

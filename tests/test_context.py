@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from dbasis import BinaryContext, ParseError, parse_context, parse_dense_csv, parse_fimi, reduce_context
+from dbasis import (BinaryContext, ParseError, ReductionRecord, parse_context,
+                    parse_dense_csv, parse_fimi, reduce_context)
 from dbasis.oracle import enumerate_concepts
 
 from helpers import GOLDEN_CSV, golden_context, random_context
@@ -120,7 +121,107 @@ def test_restrict():
     assert not sub.has("3", "a1")
 
 
+def test_restrict_wide_table_cell_by_cell():
+    # Past 64 rows and 64 columns, in shuffled order, so every mask spans
+    # several machine words and no index keeps its position.
+    rng = random.Random(17)
+    ctx = random_context(rng, 150, 130, 0.5)
+    obj_idx = rng.sample(range(150), 100)
+    attr_idx = rng.sample(range(130), 90)
+    sub = ctx.restrict(obj_idx, attr_idx)
+    assert sub.objects == tuple(ctx.objects[i] for i in obj_idx)
+    assert sub.attributes == tuple(ctx.attributes[j] for j in attr_idx)
+    for k, i in enumerate(obj_idx):
+        for l, j in enumerate(attr_idx):
+            assert sub.bit(k, l) == ctx.bit(i, j)
+            assert bool(sub.column_masks[l] >> k & 1) == ctx.bit(i, j)
+    assert all(r >> 90 == 0 for r in sub.row_masks)
+    assert all(c >> 100 == 0 for c in sub.column_masks)
+
+
 # -- reduction ---------------------------------------------------------------
+
+
+def _fixpoint_reduction(ctx):
+    """Reference reduction on label sets, repeated until nothing changes.
+
+    Each pass drops duplicate columns, then duplicate rows (the first
+    label of each stays), then every column that is the intersection of
+    the columns strictly containing it, then every such row.
+    """
+    objs, attrs = list(ctx.objects), list(ctx.attributes)
+
+    def extents():
+        return {a: frozenset(g for g in objs if ctx.has(g, a)) for a in attrs}
+
+    def intents():
+        return {g: frozenset(a for a in attrs if ctx.has(g, a)) for g in objs}
+
+    def first_of_each(sets):
+        seen = {}
+        for x, s in sets.items():
+            seen.setdefault(s, x)
+        return list(seen.values())
+
+    def irreducible(sets, universe):
+        return [x for x, s in sets.items() if frozenset(universe).intersection(
+            *(t for t in sets.values() if t > s)) != s]
+
+    while True:
+        before = (objs, attrs)
+        attrs = first_of_each(extents())
+        objs = first_of_each(intents())
+        attrs = irreducible(extents(), objs)
+        objs = irreducible(intents(), attrs)
+        if (objs, attrs) == before:
+            break
+
+    ext, itt = extents(), intents()
+    subs, saturated = {}, set()
+    for a in ctx.attributes:
+        if a in attrs:
+            continue
+        col = frozenset(g for g in objs if ctx.has(g, a))
+        dups = [b for b in attrs if ext[b] == col]
+        if col == frozenset(objs):
+            subs[a] = frozenset()
+        elif dups:
+            subs[a] = frozenset(dups[:1])
+        else:
+            subs[a] = frozenset(b for b in attrs if col <= ext[b])
+            if subs[a] == frozenset(attrs):
+                saturated.add(a)
+    merges = {}
+    for g in ctx.objects:
+        if g not in objs:
+            row = frozenset(a for a in attrs if ctx.has(g, a))
+            merges[g] = next((h for h in objs if itt[h] == row), None)
+    reduced = BinaryContext(objs, attrs, [[int(ctx.has(g, a)) for a in attrs]
+                                          for g in objs])
+    return reduced, ReductionRecord(tuple(objs), tuple(attrs), subs, merges,
+                                    frozenset(saturated))
+
+
+def _wide_reducible_context(rng):
+    # 100x90 at density 0.5 is irreducible with high probability; added
+    # columns and rows are intersections or copies of random pairs, so
+    # the reduction has work to do on both sides and keeps >64 of each.
+    base = [[int(rng.random() < 0.5) for _ in range(90)] for _ in range(100)]
+    for _ in range(20):
+        a, b = rng.sample(range(90), 2)
+        if rng.random() < 0.2:
+            b = a
+        for row in base:
+            row.append(row[a] & row[b])
+    for _ in range(20):
+        r1, r2 = rng.sample(base[:100], 2)
+        base.append([x & y for x, y in zip(r1, r2)] if rng.random() < 0.8
+                    else list(r1))
+    rng.shuffle(base)
+    perm = rng.sample(range(110), 110)
+    return BinaryContext([f"o{i}" for i in range(120)],
+                         [f"a{j}" for j in range(110)],
+                         [[row[j] for j in perm] for row in base])
 
 
 def test_reduce_golden():
@@ -185,3 +286,21 @@ def test_reduce_random_is_fully_reduced():
         again, record = reduce_context(reduced)
         assert again == reduced
         assert not record.attribute_substitutions and not record.object_merges
+
+
+def test_reduce_matches_the_fixpoint_reference():
+    rng = random.Random(19)
+    tables = [random_context(rng, rng.randint(0, 9), rng.randint(0, 8),
+                             rng.choice([0.2, 0.4, 0.6, 0.8]))
+              for _ in range(400)]
+    tables += [random_context(rng, n, m) for n in (0, 1, 2) for m in (0, 1, 2)]
+    for ctx in tables:
+        assert reduce_context(ctx) == _fixpoint_reduction(ctx)
+
+
+def test_reduce_wide_table_matches_the_fixpoint_reference():
+    ctx = _wide_reducible_context(random.Random(23))
+    reduced, record = reduce_context(ctx)
+    assert len(reduced.objects) > 64 and len(reduced.attributes) > 64
+    assert record.attribute_substitutions and record.object_merges
+    assert (reduced, record) == _fixpoint_reduction(ctx)
