@@ -62,8 +62,15 @@ def measure(ctx: BinaryContext, premise: Iterable[str], conclusion: str,
     """
     premise = frozenset(premise)
     ext = ctx.extent_mask(ctx._attr_mask(premise))
+    return _rule(premise, conclusion, ext,
+                 ctx.column_masks[ctx.attribute_index[conclusion]], in_d_basis)
+
+
+def _rule(premise: frozenset[str], conclusion: str, ext: int, col: int,
+          in_d_basis: bool = True) -> Implication:
+    """The rule whose premise has extent ``ext`` and conclusion column ``col``."""
     psup = ext.bit_count()
-    sup = (ext & ctx.column_masks[ctx.attribute_index[conclusion]]).bit_count()
+    sup = (ext & col).bit_count()
     conf = Fraction(1) if psup == 0 else Fraction(sup, psup)
     return Implication(premise, conclusion, support=sup, premise_support=psup,
                        confidence=conf, in_d_basis=in_d_basis)
@@ -135,8 +142,10 @@ def extract_sector(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     """Minimal non-binary covers of b, streamed out of the dualizer.
 
     Singleton transversals are order pairs and are left to the binary
-    part.  The ``min_support`` floor of the query is applied against
-    the metrics table (the original one in the pipeline).
+    part.  The search carries each premise's extent in the metrics
+    table (the original one in the pipeline), so the rules are measured
+    from it, and the ``min_support`` floor of the query cuts every
+    branch whose premise is already supported by fewer objects.
     """
     metrics = metrics_ctx or ctx
     min_support = query.min_support if query else 0
@@ -150,16 +159,17 @@ def extract_sector(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     except EmptySectorError:
         return []
     rules: list[Implication] = []
+    cols, midx = metrics.column_masks, metrics.attribute_index
+    bcol = cols[midx[b]]
 
-    def sink(transversal: frozenset[int]):
-        if len(transversal) < 2:
-            return
-        premise = frozenset(labels[v] for v in transversal)
-        rule = measure(metrics, premise, b)
-        if rule.support >= min_support:
-            rules.append(rule)
+    def sink(transversal: frozenset[int], ext: int):
+        if len(transversal) > 1:
+            premise = frozenset(labels[v] for v in transversal)
+            rules.append(_rule(premise, b, ext, bcol))
 
-    dualize_streaming(h, sink)
+    dualize_streaming(h, sink, vertex_masks=[cols[midx[a]] for a in labels],
+                      start_mask=(1 << len(metrics.objects)) - 1,
+                      floor=min_support, floor_mask=bcol)
     return rules
 
 
@@ -176,21 +186,28 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     """
     if order.elements != ctx.attributes:
         raise ValueError("order is not the attribute order of ctx")
-    aidx = ctx.attribute_index
+    aidx, cols = ctx.attribute_index, ctx.column_masks
+    # b is in the closure of a set iff the set's extent lies in b's column;
+    # the extent of X - x + below(x) is ext(X - x) & ext(below(x))
+    below_ext = [ctx.extent_mask(m) for m in order.below_masks]
+    everyone = (1 << len(ctx.objects)) - 1
     out = []
     for r in rules:
         if len(r.premise) < 2:
             out.append(r if r.in_d_basis else replace(r, in_d_basis=True))
             continue
-        pmask = sum(1 << aidx[a] for a in r.premise)
-        outside_b = ~ctx.column_masks[aidx[r.conclusion]]
+        xs = [aidx[x] for x in r.premise]
+        suf = [everyone] * (len(xs) + 1)
+        for i in range(len(xs) - 1, -1, -1):
+            suf[i] = suf[i + 1] & cols[xs[i]]
+        outside_b = ~cols[aidx[r.conclusion]]
+        pre = everyone
         excluded = False
-        for x in r.premise:
-            repl = (pmask & ~(1 << aidx[x])) | order.below_masks[aidx[x]]
-            # b is in the closure of repl iff repl's extent lies in b's column
-            if ctx.extent_mask(repl) & outside_b == 0:
+        for i, x in enumerate(xs):
+            if pre & suf[i + 1] & below_ext[x] & outside_b == 0:
                 excluded = True
                 break
+            pre &= cols[x]
         out.append(replace(r, in_d_basis=not excluded))
     return out
 

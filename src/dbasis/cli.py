@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", choices=BASIS_KINDS, default="d-basis",
                    help="which rule set to emit")
     p.add_argument("--min-support", type=int, default=0,
-                   help="drop rules below this support")
+                   help="drop rules below this support (also prunes the search)")
     p.add_argument("--leave-out", type=int, default=0, metavar="K",
                    help="leave-K-out high-confidence mode (K <= 3)")
     p.add_argument("--output", choices=("text", "jsonl"), default="text",

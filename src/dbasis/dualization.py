@@ -11,14 +11,22 @@ each minimal transversal is emitted exactly once.
 Duplicate work on containment-ordered edges is avoided by minimizing
 input families first; ``minimize`` is cheap and callers are expected to
 run it (the in-package callers do).
+
+The search can also carry an extent: every vertex has a mask (in the
+rule pipeline, its attribute's column of objects) and each node holds
+the AND of the chosen vertices' masks.  Since a transversal below a node
+is a superset of the node's chosen set, its extent is a subset of the
+node's, so a count of extent bits is monotone along a branch.  A branch
+whose count has already dropped below a floor is cut: nothing it could
+emit would reach the floor, and the other branches are unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
-from .context import _bits
+from .context import _bits, _transpose
 
 
 @dataclass(frozen=True)
@@ -63,14 +71,12 @@ def minimize(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.vertex_count, tuple(kept))
 
 
-def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int]], object]) -> int:
+def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int], int], object],
+               masks: Sequence[int], start: int, floor: int, within: int) -> int:
     n = h.vertex_count
     edges = [sum(1 << v for v in e) for e in h.edges]
     m = len(edges)
-    vert_edges = [0] * n
-    for eid, e in enumerate(edges):
-        for v in _bits(e):
-            vert_edges[v] |= 1 << eid
+    vert_edges = _transpose(edges, n)
     # branch on frequent vertices first; output order stays deterministic
     rank = sorted(range(n), key=lambda v: (-vert_edges[v].bit_count(), v))
     rank_of = {v: r for r, v in enumerate(rank)}
@@ -79,11 +85,11 @@ def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int]], object]) -> int:
     chosen: list[int] = []
     count = 0
 
-    def walk(uncov: int, cand: int):
+    def walk(uncov: int, cand: int, ext: int):
         nonlocal count
         if not uncov:
             count += 1
-            emit(frozenset(chosen))
+            emit(frozenset(chosen), ext)
             return
         # take an uncovered edge with the fewest remaining candidates
         best_c = -1
@@ -100,6 +106,10 @@ def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int]], object]) -> int:
                     return  # edge can no longer be hit
         cand &= ~best_c
         for v in sorted(_bits(best_c), key=rank_of.__getitem__):
+            ne = ext & masks[v]
+            if (ne & within).bit_count() < floor:
+                cand |= 1 << v  # no transversal below v reaches the floor
+                continue
             ve = vert_edges[v]
             saved = []
             ok = True
@@ -114,31 +124,53 @@ def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int]], object]) -> int:
             if ok:
                 crit[v] = uncov & ve
                 chosen.append(v)
-                walk(uncov & ~ve, cand)
+                walk(uncov & ~ve, cand, ne)
                 chosen.pop()
                 del crit[v]
             for u, cu in saved:
                 crit[u] = cu
             cand |= 1 << v  # earlier choices stay available to later branches
 
-    walk((1 << m) - 1, (1 << n) - 1)
+    walk((1 << m) - 1, (1 << n) - 1, start)
     return count
 
 
-def dualize_streaming(h: Hypergraph,
-                      sink: Callable[[frozenset[int]], object]) -> int:
+def dualize_streaming(h: Hypergraph, sink: Callable[..., object], *,
+                      vertex_masks: Sequence[int] | None = None,
+                      start_mask: int = 0, floor: int = 0,
+                      floor_mask: int = 0) -> int:
     """Feed every minimal transversal to ``sink``; return how many.
 
     Memory stays proportional to the recursion depth; nothing is
     materialized here, so the consumer decides what to keep.  An
     exception raised by the sink aborts the enumeration and propagates.
     Emission order is deterministic (a fixed DFS order, not sorted).
+
+    Without ``vertex_masks`` the sink is called as ``sink(transversal)``.
+    With them (one int per vertex) the search carries the extent of the
+    chosen set, ``start_mask`` AND-ed with its vertices' masks, and calls
+    ``sink(transversal, extent)``.  Only transversals with at least
+    ``floor`` extent bits inside ``floor_mask`` are emitted, and a branch
+    is cut as soon as its chosen set falls below the floor: each
+    transversal under it is a superset of that set, so its extent is a
+    subset and falls below the floor too.  The surviving transversals
+    come in the same order as without a floor.
     """
     _check_no_empty_edge(h, "dualize_streaming")
+    if vertex_masks is None:
+        if floor:
+            raise ValueError("dualize_streaming: a floor needs vertex_masks")
+        vertex_masks, emit = [0] * h.vertex_count, lambda t, _ext: sink(t)
+    elif len(vertex_masks) != h.vertex_count:
+        raise ValueError("dualize_streaming: one mask per vertex is needed")
+    else:
+        emit = sink
+    if (start_mask & floor_mask).bit_count() < floor:
+        return 0
     if not h.edges:
-        sink(frozenset())
+        emit(frozenset(), start_mask)
         return 1
-    return _enumerate(h, sink)
+    return _enumerate(h, emit, vertex_masks, start_mask, floor, floor_mask)
 
 
 def dualize(h: Hypergraph) -> Hypergraph:
@@ -155,7 +187,7 @@ def dualize(h: Hypergraph) -> Hypergraph:
     if not h.edges:
         return Hypergraph(h.vertex_count, (frozenset(),))
     out: list[frozenset[int]] = []
-    _enumerate(h, out.append)
+    dualize_streaming(h, out.append)
     out.sort(key=lambda t: (len(t), sorted(t)))
     return Hypergraph(h.vertex_count, tuple(out))
 

@@ -250,6 +250,67 @@ def test_compute_basis_worker_counts_agree():
         assert serial.rules == parallel.rules
 
 
+def rule_row(r):
+    return (r.premise, r.conclusion, r.support, r.premise_support,
+            r.confidence, r.in_d_basis)
+
+
+def test_support_floor_prunes_without_changing_the_output():
+    # the floor cuts the dualizer's search; the result must be the
+    # unfloored run filtered afterwards, metrics and flags included
+    rng = random.Random(61)
+    for t in range(40):
+        ctx = random_context(rng, rng.randint(8, 16), rng.randint(6, 12))
+        base = compute_basis(ctx)
+        top = max(r.support for r in base.candidates)
+        floors = range(min(top + 1, len(ctx.objects)) + 1)
+        for k in floors:
+            got = compute_basis(ctx, RuleQuery(min_support=k))
+            for attr in ("rules", "candidates"):
+                assert ([rule_row(r) for r in getattr(got, attr)]
+                        == [rule_row(r) for r in getattr(base, attr)
+                            if r.support >= k]), (t, k, attr)
+            if t % 8 == 0:
+                parallel = compute_basis(ctx, RuleQuery(min_support=k),
+                                         worker_count=2)
+                assert ([rule_row(r) for r in parallel.candidates]
+                        == [rule_row(r) for r in got.candidates]), (t, k)
+
+
+def closure_reference_flags(ctx, order, rules):
+    aidx = ctx.attribute_index
+    flags = []
+    for r in rules:
+        pmask = sum(1 << aidx[a] for a in r.premise)
+        bbit = 1 << aidx[r.conclusion]
+        flags.append(len(r.premise) < 2 or not any(
+            ctx.closure_mask((pmask & ~(1 << aidx[x]))
+                             | order.below_masks[aidx[x]]) & bbit
+            for x in r.premise))
+    return flags
+
+
+def test_refine_matches_a_closure_reference():
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(60):
+        ctx, _ = reduce_context(random_context(rng, rng.randint(6, 14),
+                                               rng.randint(7, 12),
+                                               rng.choice([0.4, 0.6])))
+        if len(ctx.attributes) < 3:
+            continue
+        order = attribute_order(ctx)
+        rules = []
+        for _ in range(30):
+            size = rng.randint(2, min(6, len(ctx.attributes) - 1))
+            b, *premise = rng.sample(ctx.attributes, size + 1)
+            rules.append(measure(ctx, premise, b))
+        flags = [r.in_d_basis for r in refine_to_d_basis(ctx, order, rules)]
+        assert flags == closure_reference_flags(ctx, order, rules)
+        checked += len(rules)
+    assert checked >= 1000
+
+
 def test_compute_basis_degenerate_tables():
     ones = BinaryContext(["x", "y"], ["p", "q"], [[1, 1], [1, 1]])
     result = compute_basis(ones)

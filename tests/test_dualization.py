@@ -102,6 +102,52 @@ def test_streaming_sink_exception_propagates():
         dualize_streaming(h, sink)
 
 
+def test_floor_emits_exactly_the_unpruned_transversals_meeting_it():
+    rng = random.Random(29)
+    for _ in range(80):
+        h = random_hypergraph(rng, 9, 7)
+        masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
+        start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
+        plain = []
+        dualize_streaming(h, plain.append)
+        carried = []
+        dualize_streaming(h, lambda t, ext: carried.append((t, ext)),
+                          vertex_masks=masks, start_mask=start)
+        assert [t for t, _ in carried] == plain
+        for t, ext in carried:
+            want = start
+            for v in t:
+                want &= masks[v]
+            assert ext == want
+        for floor in range(within.bit_count() + 2):
+            got = []
+            n = dualize_streaming(h, lambda t, ext: got.append((t, ext)),
+                                  vertex_masks=masks, start_mask=start,
+                                  floor=floor, floor_mask=within)
+            assert got == [(t, ext) for t, ext in carried
+                           if (ext & within).bit_count() >= floor]
+            assert n == len(got)
+
+
+def test_floor_argument_checks():
+    h = Hypergraph.from_edges([[0, 1]])
+    with pytest.raises(ValueError):
+        dualize_streaming(h, print, floor=1)
+    with pytest.raises(ValueError):
+        dualize_streaming(h, print, vertex_masks=[1])
+    edgeless = Hypergraph(2, ())
+    seen = []
+
+    def sink(t, ext):
+        seen.append((t, ext))
+
+    assert dualize_streaming(edgeless, sink, vertex_masks=[1, 2],
+                             start_mask=3, floor=3, floor_mask=7) == 0
+    assert dualize_streaming(edgeless, sink, vertex_masks=[1, 2],
+                             start_mask=3, floor=2, floor_mask=7) == 1
+    assert seen == [(frozenset(), 3)]
+
+
 def test_edge_list_round_trip():
     h = Hypergraph.from_edges([[2, 0], [1]])
     text = format_edge_list(h)
