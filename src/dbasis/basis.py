@@ -6,24 +6,37 @@ transversals are exactly the minimal non-binary premises implying b.
 A final refinement pass flags the rules that survive down-replacement
 (the D-basis proper), and removed attributes are translated back in.
 
-All rule metrics (support, confidence) are counted on the original
-table, never the reduced one.
+Inside the pipeline a rule is a packed tuple ``(conclusion, premise,
+ext)``: the conclusion's column index in the original table, the
+premise as a sorted tuple of original column indices, and the premise's
+extent (object mask) in the original table.  Refinement appends the
+D-basis flag.  Support is ``popcount(ext & col[conclusion])`` and premise
+support ``popcount(ext)``, so every metric is counted on the original
+table, never the reduced one.  Rules become ``Implication`` objects with
+a ``Fraction`` confidence only at the library edge, and output lines are
+formatted straight from the ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .context import BinaryContext, ReductionRecord, _bits, reduce_context
 from .dualization import Hypergraph, dualize_streaming, minimize
 from .lattice import (ArrowTable, DRelation, PartialOrder, attribute_order,
                       compute_arrows, compute_d_relation)
+
+# (conclusion, premise, ext), and with the D-basis flag appended
+Packed = tuple[int, tuple[int, ...], int]
+Flagged = tuple[int, tuple[int, ...], int, bool]
 
 
 class EmptySectorError(ValueError):
@@ -53,6 +66,34 @@ class Implication:
             raise ValueError("conclusion cannot appear in the premise")
 
 
+def _ratio(sup: int, psup: int) -> tuple[int, int]:
+    """Confidence sup/psup in lowest terms; 1 when no row has the premise."""
+    if sup == psup or psup == 0:
+        return 1, 1
+    g = math.gcd(sup, psup)
+    return sup // g, psup // g
+
+
+def _implication(premise: frozenset[str], conclusion: str, sup: int,
+                 psup: int, in_d_basis: bool) -> Implication:
+    return Implication(premise, conclusion, support=sup, premise_support=psup,
+                       confidence=Fraction(*_ratio(sup, psup)),
+                       in_d_basis=in_d_basis)
+
+
+def _implications(ctx: BinaryContext,
+                  rules: Iterable[Flagged]) -> list[Implication]:
+    """Packed rules over ``ctx``'s columns as objects."""
+    labels, cols = ctx.attributes, ctx.column_masks
+    return [_implication(frozenset(labels[j] for j in xs), labels[c],
+                         (ext & cols[c]).bit_count(), ext.bit_count(), flag)
+            for c, xs, ext, flag in rules]
+
+
+def _unrefined(rules: Iterable[Packed]) -> list[Flagged]:
+    return [(c, xs, ext, True) for c, xs, ext in rules]
+
+
 def measure(ctx: BinaryContext, premise: Iterable[str], conclusion: str,
             in_d_basis: bool = True) -> Implication:
     """Build a rule with support counted on ``ctx``.
@@ -62,18 +103,9 @@ def measure(ctx: BinaryContext, premise: Iterable[str], conclusion: str,
     """
     premise = frozenset(premise)
     ext = ctx.extent_mask(ctx._attr_mask(premise))
-    return _rule(premise, conclusion, ext,
-                 ctx.column_masks[ctx.attribute_index[conclusion]], in_d_basis)
-
-
-def _rule(premise: frozenset[str], conclusion: str, ext: int, col: int,
-          in_d_basis: bool = True) -> Implication:
-    """The rule whose premise has extent ``ext`` and conclusion column ``col``."""
-    psup = ext.bit_count()
-    sup = (ext & col).bit_count()
-    conf = Fraction(1) if psup == 0 else Fraction(sup, psup)
-    return Implication(premise, conclusion, support=sup, premise_support=psup,
-                       confidence=conf, in_d_basis=in_d_basis)
+    col = ctx.column_masks[ctx.attribute_index[conclusion]]
+    return _implication(premise, conclusion, (ext & col).bit_count(),
+                        ext.bit_count(), in_d_basis)
 
 
 @dataclass(frozen=True)
@@ -121,6 +153,15 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     return minimize(Hypergraph(len(labels), tuple(edges))), labels
 
 
+def _binary_rules(ctx: BinaryContext, order: PartialOrder, full: bool,
+                  metrics: BinaryContext) -> list[Packed]:
+    pairs = sorted(order.pairs(),
+                   key=lambda p: (ctx.attribute_index[p[0]],
+                                  ctx.attribute_index[p[1]])) if full else order.covers()
+    midx, cols = metrics.attribute_index, metrics.column_masks
+    return [(midx[lo], (midx[up],), cols[midx[up]]) for lo, up in pairs]
+
+
 def binary_part(ctx: BinaryContext, order: PartialOrder, *,
                 full: bool = False,
                 metrics_ctx: BinaryContext | None = None) -> list[Implication]:
@@ -130,10 +171,35 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
     transitive pairs as well.
     """
     metrics = metrics_ctx or ctx
-    pairs = sorted(order.pairs(),
-                   key=lambda p: (ctx.attribute_index[p[0]],
-                                  ctx.attribute_index[p[1]])) if full else order.covers()
-    return [measure(metrics, frozenset({up}), lo) for lo, up in pairs]
+    return _implications(metrics, _unrefined(
+        _binary_rules(ctx, order, full, metrics)))
+
+
+def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
+                  b: str, min_support: int,
+                  metrics: BinaryContext) -> list[Packed]:
+    midx, cols = metrics.attribute_index, metrics.column_masks
+    bo = midx[b]
+    bcol = cols[bo]
+    everyone = (1 << len(metrics.objects)) - 1
+    if ctx.column_masks[ctx.attribute_index[b]] == (1 << len(ctx.objects)) - 1:
+        # full column: the empty premise already implies b
+        return [(bo, (), everyone)] if bcol.bit_count() >= min_support else []
+    try:
+        h, labels = sector_hypergraph(ctx, arrows, d, b)
+    except EmptySectorError:
+        return []
+    orig = [midx[a] for a in labels]
+    rules: list[Packed] = []
+
+    def sink(transversal: frozenset[int], ext: int):
+        if len(transversal) > 1:
+            rules.append((bo, tuple(sorted([orig[v] for v in transversal])),
+                          ext))
+
+    dualize_streaming(h, sink, vertex_masks=[cols[j] for j in orig],
+                      start_mask=everyone, floor=min_support, floor_mask=bcol)
+    return rules
 
 
 def extract_sector(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
@@ -149,31 +215,49 @@ def extract_sector(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     """
     metrics = metrics_ctx or ctx
     min_support = query.min_support if query else 0
-    bj = ctx.attribute_index[b]
-    if ctx.column_masks[bj] == (1 << len(ctx.objects)) - 1:
-        # full column: the empty premise already implies b
-        rule = measure(metrics, frozenset(), b)
-        return [rule] if rule.support >= min_support else []
-    try:
-        h, labels = sector_hypergraph(ctx, arrows, d, b)
-    except EmptySectorError:
-        return []
-    rules: list[Implication] = []
-    cols, midx = metrics.column_masks, metrics.attribute_index
-    bcol = cols[midx[b]]
-
-    def sink(transversal: frozenset[int], ext: int):
-        if len(transversal) > 1:
-            premise = frozenset(labels[v] for v in transversal)
-            rules.append(_rule(premise, b, ext, bcol))
-
-    dualize_streaming(h, sink, vertex_masks=[cols[midx[a]] for a in labels],
-                      start_mask=(1 << len(metrics.objects)) - 1,
-                      floor=min_support, floor_mask=bcol)
-    return rules
+    return _implications(metrics, _unrefined(
+        _sector_rules(ctx, arrows, d, b, min_support, metrics)))
 
 
 # -- refinement ---------------------------------------------------------------
+
+
+def _d_basis_test(ctx: BinaryContext, order: PartialOrder,
+                  metrics: BinaryContext) -> Callable[[int, Sequence[int]], bool]:
+    """``test(b, xs)``: does the rule xs -> b survive down-replacement?
+
+    ``ctx`` is the table ``order`` belongs to; ``b`` and ``xs`` index
+    ``metrics``' columns.  b is in the closure of a set iff the set's
+    extent lies in b's column, and the extent of X - x + below(x) is
+    ext(X - x) & ext(below(x)).  Both tables give the same closures of
+    ctx's attributes, since reduction keeps the lattice.
+    """
+    if order.elements != ctx.attributes:
+        raise ValueError("order is not the attribute order of ctx")
+    cols = metrics.column_masks
+    to_m = [metrics.attribute_index[a] for a in ctx.attributes]
+    below_ext = [0] * len(cols)
+    for k, below in enumerate(order.below_masks):
+        below_ext[to_m[k]] = metrics.extent_mask(
+            sum(1 << to_m[j] for j in _bits(below)))
+    everyone = (1 << len(metrics.objects)) - 1
+
+    def in_d_basis(b: int, xs: Sequence[int]) -> bool:
+        if len(xs) < 2:
+            return True
+        # suf[i]: extent of xs[i:]; pre: extent of xs[:i]
+        suf = [everyone] * (len(xs) + 1)
+        for i in range(len(xs) - 1, 0, -1):
+            suf[i] = suf[i + 1] & cols[xs[i]]
+        outside_b = ~cols[b]
+        pre = everyone
+        for i, x in enumerate(xs):
+            if pre & suf[i + 1] & below_ext[x] & outside_b == 0:
+                return False
+            pre &= cols[x]
+        return True
+
+    return in_d_basis
 
 
 def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
@@ -184,35 +268,31 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     attributes strictly below x still yields b.  Binary and
     empty-premise rules always stay in.  ``order`` is ctx's own.
     """
-    if order.elements != ctx.attributes:
-        raise ValueError("order is not the attribute order of ctx")
-    aidx, cols = ctx.attribute_index, ctx.column_masks
-    # b is in the closure of a set iff the set's extent lies in b's column;
-    # the extent of X - x + below(x) is ext(X - x) & ext(below(x))
-    below_ext = [ctx.extent_mask(m) for m in order.below_masks]
-    everyone = (1 << len(ctx.objects)) - 1
-    out = []
-    for r in rules:
-        if len(r.premise) < 2:
-            out.append(r if r.in_d_basis else replace(r, in_d_basis=True))
-            continue
-        xs = [aidx[x] for x in r.premise]
-        suf = [everyone] * (len(xs) + 1)
-        for i in range(len(xs) - 1, -1, -1):
-            suf[i] = suf[i + 1] & cols[xs[i]]
-        outside_b = ~cols[aidx[r.conclusion]]
-        pre = everyone
-        excluded = False
-        for i, x in enumerate(xs):
-            if pre & suf[i + 1] & below_ext[x] & outside_b == 0:
-                excluded = True
-                break
-            pre &= cols[x]
-        out.append(replace(r, in_d_basis=not excluded))
-    return out
+    test = _d_basis_test(ctx, order, ctx)
+    aidx = ctx.attribute_index
+    return [_implication(r.premise, r.conclusion, r.support,
+                         r.premise_support, len(r.premise) < 2 or test(
+                             aidx[r.conclusion], [aidx[x] for x in r.premise]))
+            for r in rules]
 
 
 # -- re-expansion -------------------------------------------------------------
+
+
+def _expansion_rules(record: ReductionRecord,
+                     metrics: BinaryContext) -> list[Packed]:
+    subs = record.attribute_substitutions
+    aidx, cols = metrics.attribute_index, metrics.column_masks
+    out: list[Packed] = []
+    for a in sorted(subs, key=aidx.__getitem__):
+        j = aidx[a]
+        if a in record.saturated_attributes:
+            out += [(x, (j,), cols[j]) for x in range(len(cols)) if x != j]
+        else:
+            xs = tuple(sorted(aidx[x] for x in subs[a]))
+            out.append((j, xs, metrics.extent_mask(sum(1 << x for x in xs))))
+            out += [(x, (j,), cols[j]) for x in xs]
+    return out
 
 
 def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
@@ -227,20 +307,8 @@ def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
     through those of its rules, i.e. not at all, matching the
     reduction's bookkeeping.  Rules are measured on ``metrics_ctx``.
     """
-    out = list(rules)
-    subs = record.attribute_substitutions
-    aidx = metrics_ctx.attribute_index
-    for a in sorted(subs, key=aidx.__getitem__):
-        if a in record.saturated_attributes:
-            for x in metrics_ctx.attributes:
-                if x != a:
-                    out.append(measure(metrics_ctx, {a}, x))
-        else:
-            x_a = subs[a]
-            out.append(measure(metrics_ctx, x_a, a))
-            for x in sorted(x_a, key=aidx.__getitem__):
-                out.append(measure(metrics_ctx, {a}, x))
-    return out
+    return list(rules) + _implications(metrics_ctx, _unrefined(
+        _expansion_rules(record, metrics_ctx)))
 
 
 # -- closure evaluation --------------------------------------------------------
@@ -294,20 +362,32 @@ def evaluation_order(rules: Iterable[Implication],
 # -- the assembled pipeline -----------------------------------------------------
 
 
+def _canonical_key(rule: Packed | Flagged) -> tuple:
+    """Conclusion column, premise size, then premise columns."""
+    return rule[0], len(rule[1]), rule[1]
+
+
 def canonical_sort(rules: Iterable[Implication],
                    ctx: BinaryContext) -> list[Implication]:
     """Sort by conclusion column, premise size, then premise columns."""
     aidx = ctx.attribute_index
-    return sorted(rules, key=lambda r: (aidx[r.conclusion], len(r.premise),
-                                        tuple(sorted(aidx[p] for p in r.premise))))
+    return sorted(rules, key=lambda r: _canonical_key(
+        (aidx[r.conclusion], tuple(sorted(aidx[p] for p in r.premise)))))
 
 
 @dataclass
 class BasisResult:
-    """Everything the pipeline produced, plus the intermediate objects."""
+    """Everything the pipeline produced, plus the intermediate objects.
 
-    rules: list[Implication]
-    candidates: list[Implication]  # before the basis-kind filter
+    ``packed`` holds the candidates (before the basis-kind filter) in
+    canonical order as packed rules over the original table's columns:
+    ``(conclusion, premise, ext, in_d_basis)``.  ``packed_rules`` is the
+    kept part and ``lines`` renders it; ``rules`` and ``candidates`` are
+    the same two lists as ``Implication`` objects, built on first access.
+    """
+
+    packed: list[Flagged]
+    basis_kind: str
     original: BinaryContext
     reduced: BinaryContext
     record: ReductionRecord
@@ -316,13 +396,35 @@ class BasisResult:
     d_relation: DRelation
     sector_counts: dict[str, int]
 
+    @cached_property
+    def packed_rules(self) -> list[Flagged]:
+        if self.basis_kind == "d-basis":
+            return [r for r in self.packed if r[3]]
+        return self.packed
+
+    @cached_property
+    def rules(self) -> list[Implication]:
+        return _implications(self.original, self.packed_rules)
+
+    @cached_property
+    def candidates(self) -> list[Implication]:
+        return _implications(self.original, self.packed)
+
+    def lines(self, jsonl: bool = False) -> Iterator[str]:
+        """The kept rules as output lines, formatted from the packed ints."""
+        labels, cols = self.original.attributes, self.original.column_masks
+        for c, xs, ext, flag in self.packed_rules:
+            yield render_line([labels[j] for j in xs], labels[c],
+                              (ext & cols[c]).bit_count(), ext.bit_count(),
+                              flag, jsonl)
+
     @property
     def minimal_covers_count(self) -> int:
-        return len(self.candidates)
+        return len(self.packed)
 
     @property
     def refined_away_count(self) -> int:
-        return sum(not r.in_d_basis for r in self.candidates)
+        return sum(not r[3] for r in self.packed)
 
     @property
     def d_basis_count(self) -> int:
@@ -340,7 +442,7 @@ class BasisResult:
         lines.append(f"minimal covers: {self.minimal_covers_count}"
                      f" (d-basis {self.d_basis_count},"
                      f" refined away {self.refined_away_count})")
-        lines.append(f"rules emitted: {len(self.rules)}")
+        lines.append(f"rules emitted: {len(self.packed_rules)}")
         return lines
 
 
@@ -353,8 +455,8 @@ def _init_worker(payload):
 
 
 def _sector_job(b: str):
-    reduced, arrows, d, query, original = _PAYLOAD
-    return b, extract_sector(reduced, arrows, d, b, query, metrics_ctx=original)
+    reduced, arrows, d, min_support, original = _PAYLOAD
+    return b, _sector_rules(reduced, arrows, d, b, min_support, original)
 
 
 def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
@@ -380,7 +482,7 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     arrows = compute_arrows(reduced)
     d = compute_d_relation(arrows)
 
-    rules = binary_part(reduced, order, full=full_binary, metrics_ctx=ctx)
+    rules = _binary_rules(reduced, order, full_binary, ctx)
 
     if query.target is None:
         sector_attrs = list(reduced.attributes)
@@ -389,34 +491,45 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
 
     if worker_count == 0:
         worker_count = os.cpu_count() or 1
-    sector_counts: dict[str, int] = {}
     if worker_count > 1 and len(sector_attrs) > 1:
-        payload = (reduced, arrows, d, query, ctx)
+        payload = (reduced, arrows, d, query.min_support, ctx)
         with multiprocessing.Pool(processes=min(worker_count, len(sector_attrs)),
                                   initializer=_init_worker,
                                   initargs=(payload,)) as pool:
             produced = dict(pool.map(_sector_job, sector_attrs))
     else:
-        produced = {b: extract_sector(reduced, arrows, d, b, query,
-                                      metrics_ctx=ctx)
+        produced = {b: _sector_rules(reduced, arrows, d, b, query.min_support,
+                                     ctx)
                     for b in sector_attrs}
+    sector_counts = {b: len(produced[b]) for b in sector_attrs}
     for b in sector_attrs:
-        sector_counts[b] = len(produced[b])
         rules.extend(produced[b])
 
-    rules = refine_to_d_basis(reduced, order, rules)
-    rules = expand_to_original(record, rules, metrics_ctx=ctx)
-    rules = [r for r in rules if r.support >= query.min_support]
+    in_d_basis = _d_basis_test(reduced, order, ctx)
+    packed = [(c, xs, ext, in_d_basis(c, xs)) for c, xs, ext in rules]
+    packed += _unrefined(_expansion_rules(record, ctx))
     if query.target is not None:
-        rules = [r for r in rules if r.conclusion == query.target]
-    candidates = canonical_sort(rules, ctx)
-    if query.basis_kind == "d-basis":
-        kept = [r for r in candidates if r.in_d_basis]
-    else:
-        kept = list(candidates)
-    return BasisResult(rules=kept, candidates=candidates, original=ctx,
-                       reduced=reduced, record=record, order=order,
-                       arrows=arrows, d_relation=d, sector_counts=sector_counts)
+        target = ctx.attribute_index[query.target]
+        packed = [r for r in packed if r[0] == target]
+    if query.min_support:
+        cols = ctx.column_masks
+        packed = [r for r in packed
+                  if (r[2] & cols[r[0]]).bit_count() >= query.min_support]
+    packed.sort(key=_canonical_key)
+    return BasisResult(packed=packed, basis_kind=query.basis_kind,
+                       original=ctx, reduced=reduced, record=record,
+                       order=order, arrows=arrows, d_relation=d,
+                       sector_counts=sector_counts)
+
+
+def leave_k_out_count(ctx: BinaryContext, k: int) -> int:
+    """How many sub-tables leave-k-out runs, C(n, k), after checking k."""
+    if not 0 <= k <= 3:
+        raise ValueError("k must be between 0 and 3")
+    n = len(ctx.objects)
+    if n < k + 1:
+        raise ValueError("the table must keep at least one row")
+    return math.comb(n, k)
 
 
 def leave_k_out_rules(ctx: BinaryContext, k: int,
@@ -429,56 +542,75 @@ def leave_k_out_rules(ctx: BinaryContext, k: int,
     the plain pipeline.
     """
     query = query or RuleQuery()
-    if not 0 <= k <= 3:
-        raise ValueError("k must be between 0 and 3")
-    n = len(ctx.objects)
-    if n < k + 1:
-        raise ValueError("the table must keep at least one row")
+    leave_k_out_count(ctx, k)
     if k == 0:
         return compute_basis(ctx, query).rules
     sub_query = RuleQuery(target=query.target, min_support=0,
                           basis_kind=query.basis_kind)
+    n = len(ctx.objects)
     all_attrs = list(range(len(ctx.attributes)))
-    merged: dict[tuple[frozenset[str], str], bool] = {}
+    # sub-tables keep every column, so their indices are ctx's
+    merged: dict[tuple[int, tuple[int, ...]], bool] = {}
     for dropped in itertools.combinations(range(n), k):
         keep = [i for i in range(n) if i not in dropped]
         sub = ctx.restrict(keep, all_attrs)
-        for r in compute_basis(sub, sub_query).rules:
-            key = (r.premise, r.conclusion)
-            merged[key] = merged.get(key, False) or r.in_d_basis
-    remeasured = [measure(ctx, premise, conclusion, in_d_basis=flag)
-                  for (premise, conclusion), flag in merged.items()]
-    kept: list[Implication] = []
-    for r in sorted(remeasured,
-                    key=lambda r: (len(r.premise),
-                                   tuple(sorted(r.premise)), r.conclusion)):
-        if not any(other.conclusion == r.conclusion and other.premise < r.premise
-                   for other in kept):
-            kept.append(r)
-    threshold = Fraction(n - k, n)
-    kept = [r for r in kept
-            if r.confidence >= threshold and r.support >= query.min_support]
-    return canonical_sort(kept, ctx)
+        for c, xs, _, flag in compute_basis(sub, sub_query).packed_rules:
+            merged[c, xs] = merged.get((c, xs), False) or flag
+    # a rule stays when no other rule of its conclusion has a smaller premise
+    premises: dict[int, list[int]] = {}
+    for c, xs in merged:
+        premises.setdefault(c, []).append(sum(1 << x for x in xs))
+    cols = ctx.column_masks
+    kept: list[Flagged] = []
+    for (c, xs), flag in merged.items():
+        mask = sum(1 << x for x in xs)
+        if any(m != mask and m & ~mask == 0 for m in premises[c]):
+            continue
+        ext = ctx.extent_mask(mask)
+        sup, psup = (ext & cols[c]).bit_count(), ext.bit_count()
+        # confidence sup/psup >= (n-k)/n, and 1 for an empty extent
+        if sup >= query.min_support and sup * n >= (n - k) * psup:
+            kept.append((c, xs, ext, flag))
+    kept.sort(key=_canonical_key)
+    return _implications(ctx, kept)
 
 
 # -- rendering -----------------------------------------------------------------
 
 
+def render_line(premise: Sequence[str], conclusion: str, support: int,
+                premise_support: int, in_d_basis: bool,
+                jsonl: bool = False) -> str:
+    """One output line; ``premise`` lists its labels in column order.
+
+    The confidence is support / premise_support in lowest terms, and 1
+    when no row has the premise.
+    """
+    num, den = _ratio(support, premise_support)
+    if jsonl:
+        return json.dumps({
+            "premise": list(premise),
+            "conclusion": conclusion,
+            "support": support,
+            "premise_support": premise_support,
+            "confidence_num": num,
+            "confidence_den": den,
+            "in_d_basis": in_d_basis,
+        }, ensure_ascii=False)
+    head = f"{' '.join(premise)} -> " if premise else "-> "
+    conf = num if den == 1 else f"{num}/{den}"
+    flag = "true" if in_d_basis else "false"
+    return (f"{head}{conclusion} [support={support}, "
+            f"confidence={conf}, d_basis={flag}]")
+
+
 def format_rule_text(rule: Implication, attr_index: Mapping[str, int]) -> str:
-    premise = " ".join(sorted(rule.premise, key=attr_index.__getitem__))
-    head = f"{premise} -> " if premise else "-> "
-    flag = "true" if rule.in_d_basis else "false"
-    return (f"{head}{rule.conclusion} [support={rule.support}, "
-            f"confidence={rule.confidence}, d_basis={flag}]")
+    return render_line(sorted(rule.premise, key=attr_index.__getitem__),
+                       rule.conclusion, rule.support, rule.premise_support,
+                       rule.in_d_basis)
 
 
 def format_rule_jsonl(rule: Implication, attr_index: Mapping[str, int]) -> str:
-    return json.dumps({
-        "premise": sorted(rule.premise, key=attr_index.__getitem__),
-        "conclusion": rule.conclusion,
-        "support": rule.support,
-        "premise_support": rule.premise_support,
-        "confidence_num": rule.confidence.numerator,
-        "confidence_den": rule.confidence.denominator,
-        "in_d_basis": rule.in_d_basis,
-    }, ensure_ascii=False)
+    return render_line(sorted(rule.premise, key=attr_index.__getitem__),
+                       rule.conclusion, rule.support, rule.premise_support,
+                       rule.in_d_basis, jsonl=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import (BASIS_KINDS, RuleQuery, compute_basis, format_rule_jsonl,
-                    format_rule_text, leave_k_out_rules)
+                    format_rule_text, leave_k_out_count, leave_k_out_rules)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
@@ -58,25 +58,26 @@ def run(cfg: RunConfig, out=None, err=None) -> int:
     ctx = parse_context(_read(cfg.input_path), cfg.input_format)
     query = RuleQuery(target=cfg.target, min_support=cfg.min_support,
                       basis_kind=cfg.basis_kind)
-    if cfg.leave_out_k:
-        rules = leave_k_out_rules(ctx, cfg.leave_out_k, query)
-        result = None
+    jsonl = cfg.output_format == "jsonl"
+    k = cfg.leave_out_k
+    if k:
+        print(f"leave-{k}-out: {leave_k_out_count(ctx, k)} sub-tables",
+              file=err)
+        rules = leave_k_out_rules(ctx, k, query)
+        fmt = format_rule_jsonl if jsonl else format_rule_text
+        for rule in rules:
+            out.write(fmt(rule, ctx.attribute_index) + "\n")
+        summary = [f"table: {len(ctx.objects)} objects x "
+                   f"{len(ctx.attributes)} attributes",
+                   f"rules emitted: {len(rules)} (leave-{k}-out)"]
     else:
         result = compute_basis(ctx, query, worker_count=cfg.worker_count,
                                full_binary=cfg.full_binary)
-        rules = result.rules
-    fmt = format_rule_jsonl if cfg.output_format == "jsonl" else format_rule_text
-    aidx = ctx.attribute_index
-    for rule in rules:
-        print(fmt(rule, aidx), file=out)
-    if result is not None:
-        for line in result.summary_lines():
-            print(line, file=err)
-    else:
-        print(f"table: {len(ctx.objects)} objects x "
-              f"{len(ctx.attributes)} attributes", file=err)
-        print(f"rules emitted: {len(rules)} "
-              f"(leave-{cfg.leave_out_k}-out)", file=err)
+        for line in result.lines(jsonl):
+            out.write(line + "\n")
+        summary = result.summary_lines()
+    for line in summary:
+        print(line, file=err)
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=err)
     return 0
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -292,23 +293,53 @@ def closure_reference_flags(ctx, order, rules):
 
 def test_refine_matches_a_closure_reference():
     rng = random.Random(67)
+    # column indices past 64 in premises, conclusions and down-sets
+    wide, _ = reduce_context(random_context(random.Random(71), 20, 110, 0.6))
+    assert len(wide.attributes) >= 70
+    tables = (reduce_context(random_context(rng, rng.randint(6, 14),
+                                            rng.randint(7, 12),
+                                            rng.choice([0.4, 0.6])))[0]
+              for _ in range(60))
     checked = 0
-    for _ in range(60):
-        ctx, _ = reduce_context(random_context(rng, rng.randint(6, 14),
-                                               rng.randint(7, 12),
-                                               rng.choice([0.4, 0.6])))
+    wide_flags = []
+    for ctx in itertools.chain(tables, [wide]):
         if len(ctx.attributes) < 3:
             continue
         order = attribute_order(ctx)
         rules = []
-        for _ in range(30):
+        for _ in range(200 if ctx is wide else 30):
             size = rng.randint(2, min(6, len(ctx.attributes) - 1))
             b, *premise = rng.sample(ctx.attributes, size + 1)
             rules.append(measure(ctx, premise, b))
         flags = [r.in_d_basis for r in refine_to_d_basis(ctx, order, rules)]
         assert flags == closure_reference_flags(ctx, order, rules)
         checked += len(rules)
+        if ctx is wide:
+            wide_flags = flags
     assert checked >= 1000
+    assert True in wide_flags and False in wide_flags
+
+
+def test_pipeline_flags_match_exhaustive_replacement_on_unreduced_tables():
+    # the pipeline refines on the original table's columns; a meet column
+    # and a copy placed first shift every kept attribute's index there
+    rng = random.Random(89)
+    flags = []
+    for _ in range(40):
+        base = random_context(rng, rng.randint(5, 9), rng.randint(4, 7),
+                              rng.choice([0.4, 0.6]))
+        rows = [[int(base.bit(i, 0) and base.bit(i, 1)), int(base.bit(i, 2))]
+                + [int(base.bit(i, j)) for j in range(len(base.attributes))]
+                for i in range(len(base.objects))]
+        ctx = BinaryContext(base.objects, ["m", "c", *base.attributes], rows)
+        result = compute_basis(ctx)
+        kept = set(result.reduced.attributes)
+        for r in result.candidates:
+            if len(r.premise) >= 2 and r.premise <= kept:
+                assert r.in_d_basis == (not replacement_excluded(
+                    result.reduced, result.order, r.premise, r.conclusion))
+                flags.append(r.in_d_basis)
+    assert len(flags) >= 100 and False in flags
 
 
 def test_compute_basis_degenerate_tables():
@@ -520,3 +551,16 @@ def test_canonical_sort_is_by_conclusion_then_premise():
     ordered = canonical_sort(rules, ctx)
     assert [r.conclusion for r in ordered] == ["c1", "c1", "u"]
     assert ordered[0].premise == frozenset()
+    # 110 columns: label order (a107 < a2) is not column order
+    rng = random.Random(73)
+    wide = random_context(rng, 20, 110, 0.6)
+    few = wide.attributes[:4] + wide.attributes[-4:]
+    rules = [measure(wide, premise, b)
+             for b, *premise in (rng.sample(few, rng.randint(1, 4))
+                                 for _ in range(300))]
+    aidx = wide.attribute_index
+    keys = [(aidx[r.conclusion], len(r.premise),
+             sorted(aidx[p] for p in r.premise))
+            for r in canonical_sort(rules, wide)]
+    assert keys == sorted(keys)
+    assert keys[-1][0] >= 64

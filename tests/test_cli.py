@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from dbasis import RuleQuery, compute_basis, leave_k_out_rules, parse_context
+from dbasis.basis import format_rule_jsonl, format_rule_text, render_line
 from dbasis.cli import RunConfig, build_parser, main, run
 
 from helpers import GOLDEN_CSV, random_context
@@ -27,6 +29,15 @@ GOLDEN_TEXT_RULES = [
     "c1 -> u [support=5, confidence=1, d_basis=true]",
     "v -> u [support=1, confidence=1, d_basis=true]",
 ]
+
+
+def write_csv(ctx, path):
+    lines = [",".join(ctx.attributes)] + [
+        ",".join([g] + [str(int(ctx.bit(i, j)))
+                        for j in range(len(ctx.attributes))])
+        for i, g in enumerate(ctx.objects)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -92,6 +103,15 @@ def test_run_leave_out(golden_file, capsys):
     assert "(leave-1-out)" in captured.err
     assert captured.out
     assert main(["run", golden_file, "--leave-out", "5"]) == 2
+
+
+def test_run_leave_out_announces_its_sub_tables(golden_file, capsys):
+    # C(6, 2) tables missing two of the six rows, said before they run
+    assert main(["run", golden_file, "--leave-out", "2"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "leave-2-out: 15 sub-tables"
+    assert main(["run", golden_file, "--leave-out", "4"]) == 2
+    assert "sub-tables" not in capsys.readouterr().err
 
 
 def test_run_leave_out_rejects_flags_it_cannot_honour(golden_file, capsys):
@@ -207,15 +227,10 @@ def test_console_entry_point(golden_file):
 def test_reader_closing_early_is_not_an_error(tmp_path):
     # about 240 kB of rules, far more than a pipe buffers, so the writer
     # is still printing when the reader hangs up (``dbasis run t | head``)
-    ctx = random_context(random.Random(5), 14, 28, 0.4)
-    lines = [",".join(ctx.attributes)] + [
-        ",".join([g] + [str(int(ctx.bit(i, j)))
-                        for j in range(len(ctx.attributes))])
-        for i, g in enumerate(ctx.objects)]
-    path = tmp_path / "big.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path = write_csv(random_context(random.Random(5), 14, 28, 0.4),
+                     tmp_path / "big.csv")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dbasis", "run", str(path)],
+        [sys.executable, "-m", "dbasis", "run", path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline().endswith(b"]\n")
@@ -227,3 +242,69 @@ def test_reader_closing_early_is_not_an_error(tmp_path):
     assert proc.stderr.read() == b""
     proc.stderr.close()
     assert code == 0
+
+
+RUN_OPTIONS = [
+    [],
+    ["--basis", "minimal-covers"],
+    ["--min-support", "2"],
+    ["--target", "a3"],
+    ["--full-binary"],
+    ["--workers", "2"],
+    ["--basis", "minimal-covers", "--min-support", "2", "--target", "a3",
+     "--full-binary", "--workers", "2"],
+    ["--leave-out", "1"],
+    ["--leave-out", "1", "--basis", "minimal-covers", "--min-support", "2"],
+]
+
+
+def library_lines(ctx, args):
+    """What the library's rules give through the rule formatters."""
+    ns = build_parser().parse_args(["run", "-", *args])
+    query = RuleQuery(target=ns.target, min_support=ns.min_support,
+                      basis_kind=ns.basis)
+    if ns.leave_out:
+        rules = leave_k_out_rules(ctx, ns.leave_out, query)
+    else:
+        rules = compute_basis(ctx, query, full_binary=ns.full_binary).rules
+    fmt = format_rule_jsonl if ns.output == "jsonl" else format_rule_text
+    return [fmt(r, ctx.attribute_index) for r in rules]
+
+
+def test_run_stdout_is_the_formatted_library_rules(tmp_path, capsys):
+    # the CLI renders its packed rules itself; they must print as the
+    # library's Implication objects do, line for line
+    rng = random.Random(83)
+    seen = []
+    for t, density in enumerate((0.45, 0.7, 0.45, 0.7)):
+        path = write_csv(random_context(rng, rng.randint(6, 12),
+                                        rng.randint(6, 10), density),
+                         tmp_path / f"t{t}.csv")
+        ctx = parse_context(open(path).read(), "dense-csv")
+        for output in ("text", "jsonl"):
+            for opts in RUN_OPTIONS:
+                args = [*opts, "--output", output]
+                assert main(["run", path, *args]) == 0
+                got = capsys.readouterr().out.splitlines()
+                assert got == library_lines(ctx, args), (t, args)
+                seen += got
+    text = [ln for ln in seen if ln.endswith("]")]
+    assert any("d_basis=false" in ln for ln in text)
+    assert any("confidence=1," not in ln for ln in text)
+    assert any(json.loads(ln)["confidence_den"] > 1
+               for ln in seen if ln.startswith("{"))
+
+
+def test_render_line_confidences():
+    assert render_line(["p", "q"], "r", 2, 4, False) == \
+        "p q -> r [support=2, confidence=1/2, d_basis=false]"
+    assert render_line([], "r", 0, 3, True) == \
+        "-> r [support=0, confidence=0, d_basis=true]"
+    assert render_line(["p"], "r", 0, 0, True) == \
+        "p -> r [support=0, confidence=1, d_basis=true]"
+    assert json.loads(render_line(["p"], "r", 6, 9, True, jsonl=True)) == {
+        "premise": ["p"], "conclusion": "r", "support": 6,
+        "premise_support": 9, "confidence_num": 2, "confidence_den": 3,
+        "in_d_basis": True}
+    assert json.loads(render_line([], "r", 0, 5, True, jsonl=True))[
+        "confidence_num"] == 0
