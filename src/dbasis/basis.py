@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .context import BinaryContext, ReductionRecord, _bits, reduce_context
-from .dualization import Hypergraph, dualize_streaming, minimize
+from .dualization import Hypergraph, _minimal, _transversals
 from .lattice import (ArrowTable, DRelation, PartialOrder, attribute_order,
                       compute_arrows, compute_d_relation)
 
@@ -126,31 +126,37 @@ class RuleQuery:
 # -- sector extraction -------------------------------------------------------
 
 
+def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
+                  bj: int) -> list[int]:
+    """Column bj's dualization instance as minimal masks over ctx's columns.
+
+    For every object with an up arrow at bj the edge is the part of the
+    sector NOT held by it.  A transversal therefore meets every such
+    object's complement, which is exactly the condition for the premise
+    to imply bj's attribute.
+    """
+    sector, rows = d.sector_masks[bj], ctx.row_masks
+    return _minimal([sector & ~rows[i] for i in _bits(arrows.up_cols[bj])])
+
+
 def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
                       b: str) -> tuple[Hypergraph, tuple[str, ...]]:
-    """The dualization instance for attribute b.
+    """The dualization instance for attribute b, as a label view.
 
     Vertices are b's sector (labels returned alongside, in column
-    order); for every object m with an up arrow at b the edge is the
-    part of the sector NOT held by m.  A transversal therefore meets
-    every such object's complement, which is exactly the condition for
-    the premise to imply b.
+    order); the edges are ``_sector_edges`` renumbered to them.
     """
     if b not in ctx.attribute_index:
         raise KeyError(f"unknown attribute label: {b!r}")
     bj = ctx.attribute_index[b]
-    sector = d.sector_masks[bj]
+    sector = list(_bits(d.sector_masks[bj]))
     if not sector:
         raise EmptySectorError(f"attribute {b!r} has no nontrivial covers")
-    labels = tuple(ctx.attributes[c] for c in _bits(sector))
-    vid = {c: k for k, c in enumerate(_bits(sector))}
-    edges = []
-    for i in _bits(arrows.up_cols[bj]):
-        uncovered = sector & ~ctx.row_masks[i]
-        assert uncovered, "an up-arrow object holds the whole sector"
-        edges.append(frozenset(vid[c] for c in _bits(uncovered)))
-    assert edges, "nonempty sector without up arrows"
-    return minimize(Hypergraph(len(labels), tuple(edges))), labels
+    vid = {c: k for k, c in enumerate(sector)}
+    edges = [frozenset(vid[c] for c in _bits(e))
+             for e in _sector_edges(ctx, arrows, d, bj)]
+    return (Hypergraph(len(sector), tuple(edges)),
+            tuple(ctx.attributes[c] for c in sector))
 
 
 def _binary_rules(ctx: BinaryContext, order: PartialOrder, full: bool,
@@ -185,20 +191,15 @@ def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     if ctx.column_masks[ctx.attribute_index[b]] == (1 << len(ctx.objects)) - 1:
         # full column: the empty premise already implies b
         return [(bo, (), everyone)] if bcol.bit_count() >= min_support else []
-    try:
-        h, labels = sector_hypergraph(ctx, arrows, d, b)
-    except EmptySectorError:
-        return []
-    orig = [midx[a] for a in labels]
+    orig = [midx[a] for a in ctx.attributes]
     rules: list[Packed] = []
 
-    def sink(transversal: frozenset[int], ext: int):
-        if len(transversal) > 1:
-            rules.append((bo, tuple(sorted([orig[v] for v in transversal])),
-                          ext))
+    def sink(premise: list[int], ext: int):
+        if len(premise) > 1:
+            rules.append((bo, tuple(sorted(premise)), ext))
 
-    dualize_streaming(h, sink, vertex_masks=[cols[j] for j in orig],
-                      start_mask=everyone, floor=min_support, floor_mask=bcol)
+    _transversals(_sector_edges(ctx, arrows, d, ctx.attribute_index[b]), sink,
+                  orig, [cols[j] for j in orig], everyone, min_support, bcol)
     return rules
 
 

@@ -43,9 +43,8 @@ class RunConfig:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")  # a leading byte-order mark
 
 
 def run(cfg: RunConfig, out=None, err=None) -> int:

@@ -296,6 +296,7 @@ def parse_context(data: str | bytes | IO, input_format: str) -> BinaryContext:
         data = data.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    data = data.removeprefix("\ufeff")  # the byte-order mark Excel writes
     if input_format == "dense-csv":
         return parse_dense_csv(data)
     if input_format in ("fimi", "fimi-transactions"):

@@ -1,16 +1,17 @@
 """Hypergraph dualization: enumeration of all minimal transversals.
 
-The enumerator is a depth-first search in the style of the MMCS family.
-It grows a partial transversal one vertex at a time, always branching on
-a still-uncovered edge, and keeps for every chosen vertex the set of
-edges only it hits (its critical edges).  A branch is cut as soon as a
-chosen vertex loses its last critical edge, so every emitted set is
-minimal by construction, and the candidate-set bookkeeping guarantees
-each minimal transversal is emitted exactly once.
-
-Duplicate work on containment-ordered edges is avoided by minimizing
-input families first; ``minimize`` is cheap and callers are expected to
-run it (the in-package callers do).
+One kernel, ``_transversals``, does every search.  It takes the edges
+as int masks over vertex ids and is a depth-first search in the style
+of MMCS (Murakami & Uno, "Efficient algorithms for dualizing
+large-scale hypergraphs", 2014).  It grows a partial transversal one
+vertex at a time, always branching on a still-uncovered edge, and keeps
+for every chosen vertex the set of edges only it hits (its critical
+edges).  A branch is cut as soon as a chosen vertex loses its last
+critical edge, so every emitted set is minimal by construction, and the
+candidate-set bookkeeping guarantees each minimal transversal is
+emitted exactly once.  The vertices are renumbered once per search by
+branch rank (frequent vertices first), so walking a mask's bits from
+the lowest one is walking them in branch order.
 
 The search can also carry an extent: every vertex has a mask (in the
 rule pipeline, its attribute's column of objects) and each node holds
@@ -19,10 +20,16 @@ is a superset of the node's chosen set, its extent is a subset of the
 node's, so a count of extent bits is monotone along a branch.  A branch
 whose count has already dropped below a floor is cut: nothing it could
 emit would reach the floor, and the other branches are unaffected.
+
+``Hypergraph`` and its frozenset edges are the library and CLI edge:
+``minimize``, ``dualize_streaming`` and ``dualize`` convert to masks,
+run the same ``_minimal`` and ``_transversals`` the rule pipeline runs
+on its sector masks, and convert back.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -55,41 +62,62 @@ class Hypergraph:
         return cls(vertex_count, es)
 
 
-def _check_no_empty_edge(h: Hypergraph, op: str):
+def _edge_masks(h: Hypergraph, op: str) -> list[int]:
     if any(not e for e in h.edges):
         raise ValueError(f"{op}: empty edge (its dual would be empty)")
+    return [sum(1 << v for v in e) for e in h.edges]
+
+
+def _minimal(edges: Iterable[int]) -> list[int]:
+    """The distinct inclusion-minimal masks, by size then vertex order."""
+    kept: list[int] = []
+    for e in sorted(set(edges), key=lambda e: (e.bit_count(), list(_bits(e)))):
+        if all(k & ~e for k in kept):
+            kept.append(e)
+    return kept
 
 
 def minimize(h: Hypergraph) -> Hypergraph:
     """Drop duplicate and containing edges; sort by size then vertex order."""
-    _check_no_empty_edge(h, "minimize")
-    edges = sorted(set(h.edges), key=lambda e: (len(e), sorted(e)))
-    kept: list[frozenset[int]] = []
-    for e in edges:
-        if not any(k <= e for k in kept):
-            kept.append(e)
-    return Hypergraph(h.vertex_count, tuple(kept))
+    return Hypergraph(h.vertex_count, tuple(
+        frozenset(_bits(e)) for e in _minimal(_edge_masks(h, "minimize"))))
 
 
-def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int], int], object],
-               masks: Sequence[int], start: int, floor: int, within: int) -> int:
-    n = h.vertex_count
-    edges = [sum(1 << v for v in e) for e in h.edges]
-    m = len(edges)
-    vert_edges = _transpose(edges, n)
-    # branch on frequent vertices first; output order stays deterministic
-    rank = sorted(range(n), key=lambda v: (-vert_edges[v].bit_count(), v))
-    rank_of = {v: r for r, v in enumerate(rank)}
+def _transversals(edges: Sequence[int],
+                  emit: Callable[[list[int], int], object],
+                  ids: Sequence[int] | None = None,
+                  masks: Sequence[int] | None = None, start: int = 0,
+                  floor: int = 0, within: int = 0) -> int:
+    """Call ``emit(chosen, extent)`` per minimal transversal; return how many.
 
-    crit: dict[int, int] = {}
+    ``edges`` are vertex masks; an edge 0 has no transversal and no
+    edge gives the empty one.  ``chosen`` lists ``ids[v]`` (``v`` by
+    default) of the transversal's vertices in branch order; it is the
+    search's own list, so the sink copies what it keeps.  The extent is
+    ``start`` AND-ed with the chosen vertices' ``masks`` (0 by default).
+    Only transversals with at least ``floor`` extent bits inside
+    ``within`` are emitted, in the order they come without a floor.
+    """
+    if (start & within).bit_count() < floor:
+        return 0
+    # bit r of a relabelled mask is the vertex branched on r-th
+    by_vertex = _transpose(edges, max(edges, default=0).bit_length())
+    order = sorted((v for v, ve in enumerate(by_vertex) if ve),
+                   key=lambda v: (-by_vertex[v].bit_count(), v))
+    vert_edges = [by_vertex[v] for v in order]
+    edges = _transpose(vert_edges, len(edges))
+    ids = order if ids is None else [ids[v] for v in order]
+    masks = [0] * len(order) if masks is None else [masks[v] for v in order]
+    n = len(order)
     chosen: list[int] = []
     count = 0
 
-    def walk(uncov: int, cand: int, ext: int):
+    def walk(uncov: int, cand: int, ext: int, crit: list[int]):
+        # crit[k]: the edges only chosen[k] hits
         nonlocal count
         if not uncov:
             count += 1
-            emit(frozenset(chosen), ext)
+            emit(chosen, ext)
             return
         # take an uncovered edge with the fewest remaining candidates
         best_c = -1
@@ -105,72 +133,45 @@ def _enumerate(h: Hypergraph, emit: Callable[[frozenset[int], int], object],
                 if k == 0:
                     return  # edge can no longer be hit
         cand &= ~best_c
-        for v in sorted(_bits(best_c), key=rank_of.__getitem__):
+        while best_c:
+            low = best_c & -best_c
+            best_c ^= low
+            v = low.bit_length() - 1
             ne = ext & masks[v]
-            if (ne & within).bit_count() < floor:
-                cand |= 1 << v  # no transversal below v reaches the floor
-                continue
-            ve = vert_edges[v]
-            saved = []
-            ok = True
-            for u in chosen:
-                cu = crit[u]
-                ncu = cu & ~ve
-                if ncu != cu:
-                    saved.append((u, cu))
-                    crit[u] = ncu
-                    if not ncu:
-                        ok = False
-            if ok:
-                crit[v] = uncov & ve
-                chosen.append(v)
-                walk(uncov & ~ve, cand, ne)
-                chosen.pop()
-                del crit[v]
-            for u, cu in saved:
-                crit[u] = cu
-            cand |= 1 << v  # earlier choices stay available to later branches
+            if (ne & within).bit_count() >= floor:
+                ve = vert_edges[v]
+                kept = [cu & ~ve for cu in crit]
+                if all(kept):
+                    kept.append(uncov & ve)
+                    chosen.append(ids[v])
+                    walk(uncov & ~ve, cand, ne, kept)
+                    chosen.pop()
+            # below the floor no transversal under v reaches it; either
+            # way v stays available to the later branches
+            cand |= low
 
-    walk((1 << m) - 1, (1 << n) - 1, start)
+    # a chosen vertex keeps a critical edge of its own, so the depth is
+    # at most the edge count
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + len(edges))
+    try:
+        walk((1 << len(edges)) - 1, (1 << n) - 1, start, [])
+    finally:
+        sys.setrecursionlimit(limit)
     return count
 
 
-def dualize_streaming(h: Hypergraph, sink: Callable[..., object], *,
-                      vertex_masks: Sequence[int] | None = None,
-                      start_mask: int = 0, floor: int = 0,
-                      floor_mask: int = 0) -> int:
+def dualize_streaming(h: Hypergraph,
+                      sink: Callable[[frozenset[int]], object]) -> int:
     """Feed every minimal transversal to ``sink``; return how many.
 
     Memory stays proportional to the recursion depth; nothing is
     materialized here, so the consumer decides what to keep.  An
     exception raised by the sink aborts the enumeration and propagates.
     Emission order is deterministic (a fixed DFS order, not sorted).
-
-    Without ``vertex_masks`` the sink is called as ``sink(transversal)``.
-    With them (one int per vertex) the search carries the extent of the
-    chosen set, ``start_mask`` AND-ed with its vertices' masks, and calls
-    ``sink(transversal, extent)``.  Only transversals with at least
-    ``floor`` extent bits inside ``floor_mask`` are emitted, and a branch
-    is cut as soon as its chosen set falls below the floor: each
-    transversal under it is a superset of that set, so its extent is a
-    subset and falls below the floor too.  The surviving transversals
-    come in the same order as without a floor.
     """
-    _check_no_empty_edge(h, "dualize_streaming")
-    if vertex_masks is None:
-        if floor:
-            raise ValueError("dualize_streaming: a floor needs vertex_masks")
-        vertex_masks, emit = [0] * h.vertex_count, lambda t, _ext: sink(t)
-    elif len(vertex_masks) != h.vertex_count:
-        raise ValueError("dualize_streaming: one mask per vertex is needed")
-    else:
-        emit = sink
-    if (start_mask & floor_mask).bit_count() < floor:
-        return 0
-    if not h.edges:
-        emit(frozenset(), start_mask)
-        return 1
-    return _enumerate(h, emit, vertex_masks, start_mask, floor, floor_mask)
+    edges = _minimal(_edge_masks(h, "dualize_streaming"))
+    return _transversals(edges, lambda xs, _ext: sink(frozenset(xs)))
 
 
 def dualize(h: Hypergraph) -> Hypergraph:
@@ -183,9 +184,6 @@ def dualize(h: Hypergraph) -> Hypergraph:
     """
     if h.edges == (frozenset(),):
         return Hypergraph(h.vertex_count, ())
-    _check_no_empty_edge(h, "dualize")
-    if not h.edges:
-        return Hypergraph(h.vertex_count, (frozenset(),))
     out: list[frozenset[int]] = []
     dualize_streaming(h, out.append)
     out.sort(key=lambda t: (len(t), sorted(t)))

@@ -160,11 +160,35 @@ def test_run_fimi_stdin(monkeypatch, capsys):
     assert "2" in out
 
 
+def test_inputs_with_a_byte_order_mark(tmp_path, monkeypatch, capsys):
+    import io
+    table = tmp_path / "bom.csv"
+    table.write_text(GOLDEN_CSV, encoding="utf-8-sig")
+    assert main(["run", str(table), "--target", "b"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        ln for ln in GOLDEN_TEXT_RULES if "-> b " in ln]
+    fimi = tmp_path / "bom.dat"
+    fimi.write_text("1 2\n2 3\n", encoding="utf-8-sig")
+    assert main(["run", str(fimi), "--format", "fimi", "--target", "2"]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff1 2\n2 3\n"))
+    assert main(["run", "-", "--format", "fimi", "--target", "2"]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.startswith("-> 2 ")
+
+
 def test_dualize_subcommand(tmp_path, capsys):
     edges = tmp_path / "h.txt"
     edges.write_text("0 1\n1 2\n0 2\n")
     assert main(["dualize", str(edges)]) == 0
     assert capsys.readouterr().out == "0 1\n0 2\n1 2\n"
+
+
+def test_dualize_subcommand_on_a_deep_transversal(tmp_path, capsys):
+    edges = tmp_path / "h.txt"
+    edges.write_text("".join(f"{v}\n" for v in range(1100)))
+    assert main(["dualize", str(edges)]) == 0
+    assert capsys.readouterr().out == " ".join(map(str, range(1100))) + "\n"
 
 
 def test_dualize_rejects_blank_line(tmp_path, capsys):

@@ -80,6 +80,13 @@ def test_parse_context_dispatch():
         parse_context("x", "tsv")
 
 
+def test_parse_context_strips_one_byte_order_mark():
+    bom = "\ufeff"
+    assert parse_context(bom + GOLDEN_CSV, "dense-csv") == golden_context()
+    assert parse_context((bom + GOLDEN_CSV).encode(), "dense-csv") == golden_context()
+    assert parse_context(bom + "1 2\n", "fimi") == parse_context("1 2\n", "fimi")
+
+
 def test_supports_golden():
     ctx = golden_context()
     assert ctx.support_of_attributes({"c1"}) == {"1", "2", "4", "5", "6"}

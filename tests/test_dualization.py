@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from dbasis import Hypergraph, dualize, dualize_streaming, format_edge_list, minimize, parse_edge_list
+from dbasis.dualization import _transversals
 from dbasis.oracle import berge_dual, brute_dual
 
 from helpers import random_hypergraph
@@ -102,17 +104,23 @@ def test_streaming_sink_exception_propagates():
         dualize_streaming(h, sink)
 
 
+def edge_masks(h):
+    return [sum(1 << v for v in e) for e in h.edges]
+
+
 def test_floor_emits_exactly_the_unpruned_transversals_meeting_it():
     rng = random.Random(29)
     for _ in range(80):
         h = random_hypergraph(rng, 9, 7)
+        edges = edge_masks(h)
         masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
         start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
         plain = []
-        dualize_streaming(h, plain.append)
+        _transversals(edges, lambda xs, ext: plain.append(frozenset(xs)))
+        assert set(plain) == edge_sets(dualize(h))
         carried = []
-        dualize_streaming(h, lambda t, ext: carried.append((t, ext)),
-                          vertex_masks=masks, start_mask=start)
+        _transversals(edges, lambda xs, ext: carried.append((frozenset(xs), ext)),
+                      masks=masks, start=start)
         assert [t for t, _ in carried] == plain
         for t, ext in carried:
             want = start
@@ -121,31 +129,56 @@ def test_floor_emits_exactly_the_unpruned_transversals_meeting_it():
             assert ext == want
         for floor in range(within.bit_count() + 2):
             got = []
-            n = dualize_streaming(h, lambda t, ext: got.append((t, ext)),
-                                  vertex_masks=masks, start_mask=start,
-                                  floor=floor, floor_mask=within)
+            n = _transversals(
+                edges, lambda xs, ext: got.append((frozenset(xs), ext)),
+                masks=masks, start=start, floor=floor, within=within)
             assert got == [(t, ext) for t, ext in carried
                            if (ext & within).bit_count() >= floor]
             assert n == len(got)
 
 
 def test_floor_argument_checks():
-    h = Hypergraph.from_edges([[0, 1]])
-    with pytest.raises(ValueError):
-        dualize_streaming(h, print, floor=1)
-    with pytest.raises(ValueError):
-        dualize_streaming(h, print, vertex_masks=[1])
-    edgeless = Hypergraph(2, ())
     seen = []
 
-    def sink(t, ext):
-        seen.append((t, ext))
+    def sink(xs, ext):
+        seen.append((list(xs), ext))
 
-    assert dualize_streaming(edgeless, sink, vertex_masks=[1, 2],
-                             start_mask=3, floor=3, floor_mask=7) == 0
-    assert dualize_streaming(edgeless, sink, vertex_masks=[1, 2],
-                             start_mask=3, floor=2, floor_mask=7) == 1
-    assert seen == [(frozenset(), 3)]
+    assert _transversals([], sink, masks=[1, 2], start=3, floor=3,
+                         within=7) == 0
+    assert _transversals([], sink, masks=[1, 2], start=3, floor=2,
+                         within=7) == 1
+    assert seen == [([], 3)]
+
+
+def test_kernel_emits_the_given_ids_and_no_transversal_of_an_empty_edge():
+    seen = []
+    n = _transversals([0b011, 0b110], lambda xs, ext: seen.append(sorted(xs)),
+                      ids=[10, 20, 30])
+    assert n == 2 and sorted(seen) == [[10, 30], [20]]
+    assert _transversals([0b1, 0], lambda xs, ext: seen.append(xs)) == 0
+
+
+def test_vertex_ids_past_bit_64_and_128():
+    rng = random.Random(67)
+    for _ in range(60):
+        edges = [frozenset(rng.sample(range(201), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 6))]
+        edges.append(frozenset({rng.randint(129, 200)}))
+        h = Hypergraph.from_edges(edges)
+        want = edge_sets(berge_dual(h))
+        assert edge_sets(dualize(h)) == want
+        seen = []
+        assert dualize_streaming(h, seen.append) == len(want)
+        assert set(seen) == want
+        assert any(max(t) >= 128 for t in seen)
+
+
+def test_deep_transversal_does_not_exhaust_the_stack():
+    h = Hypergraph.from_edges([[v] for v in range(1100)])
+    assert dualize(h).edges == (frozenset(range(1100)),)
+    limit = sys.getrecursionlimit()
+    assert dualize_streaming(h, lambda t: None) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 def test_edge_list_round_trip():
