@@ -12,9 +12,11 @@ premise as a sorted tuple of original column indices, and the premise's
 extent (object mask) in the original table.  Refinement appends the
 D-basis flag.  Support is ``popcount(ext & col[conclusion])`` and premise
 support ``popcount(ext)``, so every metric is counted on the original
-table, never the reduced one.  Rules become ``Implication`` objects with
-a ``Fraction`` confidence only at the library edge, and output lines are
-formatted straight from the ints.
+table, never the reduced one.  Leave-k-out merges its sub-tables'
+packed rules by conclusion and premise mask and returns packed rules
+too.  Rules become ``Implication`` objects with a ``Fraction``
+confidence only at the library edge; ``render_lines`` formats the
+output lines of both modes straight from the ints.
 """
 
 from __future__ import annotations
@@ -186,20 +188,18 @@ def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
                   metrics: BinaryContext) -> list[Packed]:
     midx, cols = metrics.attribute_index, metrics.column_masks
     bo = midx[b]
-    bcol = cols[bo]
-    everyone = (1 << len(metrics.objects)) - 1
-    if ctx.column_masks[ctx.attribute_index[b]] == (1 << len(ctx.objects)) - 1:
-        # full column: the empty premise already implies b
-        return [(bo, (), everyone)] if bcol.bit_count() >= min_support else []
     orig = [midx[a] for a in ctx.attributes]
     rules: list[Packed] = []
 
+    # singletons are order pairs, left to the binary part; a full column
+    # has no up arrow, hence no edge, and gets the empty premise
     def sink(premise: list[int], ext: int):
-        if len(premise) > 1:
+        if len(premise) != 1:
             rules.append((bo, tuple(sorted(premise)), ext))
 
     _transversals(_sector_edges(ctx, arrows, d, ctx.attribute_index[b]), sink,
-                  orig, [cols[j] for j in orig], everyone, min_support, bcol)
+                  orig, [cols[j] for j in orig], (1 << len(metrics.objects)) - 1,
+                  min_support, cols[bo])
     return rules
 
 
@@ -383,8 +383,9 @@ class BasisResult:
     ``packed`` holds the candidates (before the basis-kind filter) in
     canonical order as packed rules over the original table's columns:
     ``(conclusion, premise, ext, in_d_basis)``.  ``packed_rules`` is the
-    kept part and ``lines`` renders it; ``rules`` and ``candidates`` are
-    the same two lists as ``Implication`` objects, built on first access.
+    kept part, which ``render_lines`` prints; ``rules`` and
+    ``candidates`` are the same two lists as ``Implication`` objects,
+    built on first access.
     """
 
     packed: list[Flagged]
@@ -410,14 +411,6 @@ class BasisResult:
     @cached_property
     def candidates(self) -> list[Implication]:
         return _implications(self.original, self.packed)
-
-    def lines(self, jsonl: bool = False) -> Iterator[str]:
-        """The kept rules as output lines, formatted from the packed ints."""
-        labels, cols = self.original.attributes, self.original.column_masks
-        for c, xs, ext, flag in self.packed_rules:
-            yield render_line([labels[j] for j in xs], labels[c],
-                              (ext & cols[c]).bit_count(), ext.bit_count(),
-                              flag, jsonl)
 
     @property
     def minimal_covers_count(self) -> int:
@@ -460,6 +453,13 @@ def _sector_job(b: str):
     return b, _sector_rules(reduced, arrows, d, b, min_support, original)
 
 
+def _check_query(ctx: BinaryContext, query: RuleQuery):
+    if query.min_support > len(ctx.objects):
+        raise ValueError("min_support exceeds the number of objects")
+    if query.target is not None and query.target not in ctx.attribute_index:
+        raise KeyError(f"unknown attribute label: {query.target!r}")
+
+
 def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
                   worker_count: int = 1,
                   full_binary: bool = False) -> BasisResult:
@@ -473,10 +473,7 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     query = query or RuleQuery()
     if worker_count < 0:
         raise ValueError("worker_count must be non-negative")
-    if query.min_support > len(ctx.objects):
-        raise ValueError("min_support exceeds the number of objects")
-    if query.target is not None and query.target not in ctx.attribute_index:
-        raise KeyError(f"unknown attribute label: {query.target!r}")
+    _check_query(ctx, query)
 
     reduced, record = reduce_context(ctx)
     order = attribute_order(reduced)
@@ -523,60 +520,75 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
                        sector_counts=sector_counts)
 
 
-def leave_k_out_count(ctx: BinaryContext, k: int) -> int:
-    """How many sub-tables leave-k-out runs, C(n, k), after checking k."""
+def leave_k_out_count(ctx: BinaryContext, k: int, query: RuleQuery) -> int:
+    """How many sub-tables leave-k-out runs, C(n, k), after checking k
+    and the query against ``ctx``."""
     if not 0 <= k <= 3:
         raise ValueError("k must be between 0 and 3")
     n = len(ctx.objects)
     if n < k + 1:
         raise ValueError("the table must keep at least one row")
+    _check_query(ctx, query)
     return math.comb(n, k)
 
 
-def leave_k_out_rules(ctx: BinaryContext, k: int,
-                      query: RuleQuery | None = None) -> list[Implication]:
-    """High-confidence rules via the row-subset scheme.
+def leave_k_out_packed(ctx: BinaryContext, k: int,
+                       query: RuleQuery | None = None) -> list[Flagged]:
+    """High-confidence rules via the row-subset scheme, packed.
 
-    Runs the exact pipeline on every table missing k rows, re-measures
-    every rule on the full table, keeps premise-minimal rules per
-    conclusion, and filters to confidence >= (n-k)/n.  k = 0 is exactly
+    Runs the exact pipeline on every table missing k rows, merges the
+    rules (a rule is in the D-basis when some sub-table says so), keeps
+    the premise-minimal ones per conclusion, re-measures them on the
+    full table, and filters to confidence >= (n-k)/n.  k = 0 is exactly
     the plain pipeline.
     """
     query = query or RuleQuery()
-    leave_k_out_count(ctx, k)
+    leave_k_out_count(ctx, k, query)
     if k == 0:
-        return compute_basis(ctx, query).rules
-    sub_query = RuleQuery(target=query.target, min_support=0,
-                          basis_kind=query.basis_kind)
+        return compute_basis(ctx, query).packed_rules
+    sub_query = RuleQuery(target=query.target, basis_kind=query.basis_kind)
     n = len(ctx.objects)
     all_attrs = list(range(len(ctx.attributes)))
-    # sub-tables keep every column, so their indices are ctx's
-    merged: dict[tuple[int, tuple[int, ...]], bool] = {}
+    # sub-tables keep every column, so their indices are ctx's;
+    # conclusion -> premise mask -> flag
+    merged: dict[int, dict[int, bool]] = {}
     for dropped in itertools.combinations(range(n), k):
         keep = [i for i in range(n) if i not in dropped]
         sub = ctx.restrict(keep, all_attrs)
         for c, xs, _, flag in compute_basis(sub, sub_query).packed_rules:
-            merged[c, xs] = merged.get((c, xs), False) or flag
-    # a rule stays when no other rule of its conclusion has a smaller premise
-    premises: dict[int, list[int]] = {}
-    for c, xs in merged:
-        premises.setdefault(c, []).append(sum(1 << x for x in xs))
+            flags = merged.setdefault(c, {})
+            mask = sum(1 << x for x in xs)
+            flags[mask] = flags.get(mask, False) or flag
     cols = ctx.column_masks
     kept: list[Flagged] = []
-    for (c, xs), flag in merged.items():
-        mask = sum(1 << x for x in xs)
-        if any(m != mask and m & ~mask == 0 for m in premises[c]):
-            continue
-        ext = ctx.extent_mask(mask)
-        sup, psup = (ext & cols[c]).bit_count(), ext.bit_count()
-        # confidence sup/psup >= (n-k)/n, and 1 for an empty extent
-        if sup >= query.min_support and sup * n >= (n - k) * psup:
-            kept.append((c, xs, ext, flag))
+    for c, flags in merged.items():
+        for mask in _minimal(flags):
+            ext = ctx.extent_mask(mask)
+            sup, psup = (ext & cols[c]).bit_count(), ext.bit_count()
+            # confidence sup/psup >= (n-k)/n, and 1 for an empty extent
+            if sup >= query.min_support and sup * n >= (n - k) * psup:
+                kept.append((c, tuple(_bits(mask)), ext, flags[mask]))
     kept.sort(key=_canonical_key)
-    return _implications(ctx, kept)
+    return kept
+
+
+def leave_k_out_rules(ctx: BinaryContext, k: int,
+                      query: RuleQuery | None = None) -> list[Implication]:
+    """``leave_k_out_packed`` as ``Implication`` objects."""
+    return _implications(ctx, leave_k_out_packed(ctx, k, query))
 
 
 # -- rendering -----------------------------------------------------------------
+
+
+def render_lines(ctx: BinaryContext, rules: Iterable[Flagged],
+                 jsonl: bool = False) -> Iterator[str]:
+    """Packed rules over ``ctx``'s columns as output lines."""
+    labels, cols = ctx.attributes, ctx.column_masks
+    for c, xs, ext, flag in rules:
+        yield render_line([labels[j] for j in xs], labels[c],
+                          (ext & cols[c]).bit_count(), ext.bit_count(),
+                          flag, jsonl)
 
 
 def render_line(premise: Sequence[str], conclusion: str, support: int,

@@ -16,30 +16,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
-from .basis import (BASIS_KINDS, RuleQuery, compute_basis, format_rule_jsonl,
-                    format_rule_text, leave_k_out_count, leave_k_out_rules)
+from .basis import (BASIS_KINDS, RuleQuery, compute_basis, leave_k_out_count,
+                    leave_k_out_packed, render_lines)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
 from .oracle import OracleSizeError, enumerate_concepts
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything the ``run`` subcommand needs, as plain data."""
-
-    input_path: str
-    input_format: str = "dense-csv"
-    target: str | None = None
-    basis_kind: str = "d-basis"
-    min_support: int = 0
-    leave_out_k: int = 0
-    output_format: str = "text"
-    worker_count: int = 1
-    full_binary: bool = False
 
 
 def _read(path: str) -> str:
@@ -47,47 +31,36 @@ def _read(path: str) -> str:
     return text.removeprefix("\ufeff")  # a leading byte-order mark
 
 
-def run(cfg: RunConfig, out=None, err=None) -> int:
+def run(args: argparse.Namespace, out=None, err=None) -> int:
+    """The ``run`` subcommand on parsed arguments."""
     out = out or sys.stdout
     err = err or sys.stderr
-    if cfg.leave_out_k and (cfg.worker_count != 1 or cfg.full_binary):
+    k = args.leave_out
+    if k and (args.workers != 1 or args.full_binary):
         raise ValueError("--workers and --full-binary do not apply to "
                          "leave-K-out (--leave-out)")
     started = time.perf_counter()
-    ctx = parse_context(_read(cfg.input_path), cfg.input_format)
-    query = RuleQuery(target=cfg.target, min_support=cfg.min_support,
-                      basis_kind=cfg.basis_kind)
-    jsonl = cfg.output_format == "jsonl"
-    k = cfg.leave_out_k
+    ctx = parse_context(_read(args.table), args.format)
+    query = RuleQuery(target=args.target, min_support=args.min_support,
+                      basis_kind=args.basis)
     if k:
-        print(f"leave-{k}-out: {leave_k_out_count(ctx, k)} sub-tables",
+        print(f"leave-{k}-out: {leave_k_out_count(ctx, k, query)} sub-tables",
               file=err)
-        rules = leave_k_out_rules(ctx, k, query)
-        fmt = format_rule_jsonl if jsonl else format_rule_text
-        for rule in rules:
-            out.write(fmt(rule, ctx.attribute_index) + "\n")
+        rules = leave_k_out_packed(ctx, k, query)
         summary = [f"table: {len(ctx.objects)} objects x "
                    f"{len(ctx.attributes)} attributes",
                    f"rules emitted: {len(rules)} (leave-{k}-out)"]
     else:
-        result = compute_basis(ctx, query, worker_count=cfg.worker_count,
-                               full_binary=cfg.full_binary)
-        for line in result.lines(jsonl):
-            out.write(line + "\n")
+        result = compute_basis(ctx, query, worker_count=args.workers,
+                               full_binary=args.full_binary)
+        rules = result.packed_rules
         summary = result.summary_lines()
+    for line in render_lines(ctx, rules, args.output == "jsonl"):
+        out.write(line + "\n")
     for line in summary:
         print(line, file=err)
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=err)
     return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(input_path=args.table, input_format=args.format,
-                    target=args.target, basis_kind=args.basis,
-                    min_support=args.min_support, leave_out_k=args.leave_out,
-                    output_format=args.output, worker_count=args.workers,
-                    full_binary=args.full_binary)
-    return run(cfg)
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
@@ -140,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sector dualization processes (0 = cpu count)")
     p.add_argument("--full-binary", action="store_true",
                    help="emit all binary order pairs, not just covers")
-    p.set_defaults(func=_cmd_run)
+    p.set_defaults(func=run)
 
     p = sub.add_parser("dualize", help="minimal transversals of an edge list")
     p.add_argument("edges", help="edge list path, or - for stdin")

@@ -521,6 +521,67 @@ def test_leave_two_out_runs():
     assert all(r.confidence >= Fraction(n - 2, n) for r in rules)
 
 
+def metrics(r):
+    return (r.premise, r.conclusion, r.support, r.premise_support,
+            r.confidence, r.in_d_basis)
+
+
+def leave_k_out_reference(ctx, k, query):
+    """The leave-k-out scheme from the library's objects: every
+    sub-table's basis, flags OR-ed per rule, a pairwise premise
+    minimality filter per conclusion, and the (n-k)/n floor."""
+    n, m = len(ctx.objects), len(ctx.attributes)
+    sub_query = RuleQuery(target=query.target, basis_kind=query.basis_kind)
+    flags = {}
+    for dropped in itertools.combinations(range(n), k):
+        sub = ctx.restrict([i for i in range(n) if i not in dropped],
+                           list(range(m)))
+        for r in compute_basis(sub, sub_query).rules:
+            key = rule_key(r)
+            flags[key] = flags.get(key, False) or r.in_d_basis
+    out = []
+    for (premise, conclusion), flag in flags.items():
+        if any(c == conclusion and p < premise for p, c in flags):
+            continue
+        r = measure(ctx, premise, conclusion, flag)
+        if (r.support >= query.min_support
+                and r.confidence >= Fraction(n - k, n)):
+            out.append(r)
+    return canonical_sort(out, ctx)
+
+
+def test_leave_k_out_matches_a_pairwise_reference():
+    # tables with a duplicate row and an intersection row, so sub-tables
+    # reduce differently and the merge sees the same rule many times
+    rng = random.Random(41)
+    queries = [RuleQuery(), RuleQuery(basis_kind="minimal-covers"),
+               RuleQuery(min_support=2),
+               RuleQuery(min_support=2, basis_kind="minimal-covers"),
+               RuleQuery(target="a2"),
+               RuleQuery(target="a1", min_support=2)]
+    seen = {"dropped": False, "refined": False, "inexact": False}
+    for t in range(10):
+        base = random_context(rng, rng.randint(6, 7), rng.randint(8, 10),
+                              rng.choice((0.5, 0.6)))
+        rows = [[int(base.bit(i, j)) for j in range(len(base.attributes))]
+                for i in range(len(base.objects))]
+        a, b = rng.sample(range(len(rows)), 2)
+        rows += [rows[a][:], [x & y for x, y in zip(rows[a], rows[b])]]
+        rng.shuffle(rows)
+        ctx = BinaryContext([f"o{i}" for i in range(len(rows))],
+                            list(base.attributes), rows)
+        for k in (1, 2):
+            got = [leave_k_out_rules(ctx, k, query) for query in queries]
+            for query, rules in zip(queries, got):
+                assert [metrics(r) for r in rules] == [
+                    metrics(r) for r in leave_k_out_reference(ctx, k, query)
+                ], (t, k, query)
+            seen["dropped"] |= got[0] != got[1]
+            seen["refined"] |= any(not r.in_d_basis for r in got[1])
+            seen["inexact"] |= any(r.confidence < 1 for r in got[0])
+    assert all(seen.values()), seen
+
+
 # -- rendering ----------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from dbasis import RuleQuery, compute_basis, leave_k_out_rules, parse_context
 from dbasis.basis import format_rule_jsonl, format_rule_text, render_line
-from dbasis.cli import RunConfig, build_parser, main, run
+from dbasis.cli import build_parser, main
 
 from helpers import GOLDEN_CSV, random_context
 
@@ -121,6 +121,28 @@ def test_run_leave_out_rejects_flags_it_cannot_honour(golden_file, capsys):
     assert "leave-K-out" in capsys.readouterr().err
 
 
+def test_run_leave_out_rejects_min_support_above_the_row_count(golden_file,
+                                                              capsys):
+    # the same check and exit code as without --leave-out
+    assert main(["run", golden_file, "--min-support", "100"]) == 2
+    plain = capsys.readouterr()
+    assert main(["run", golden_file, "--min-support", "100",
+                 "--leave-out", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == plain.out == ""
+    assert captured.err == plain.err
+    assert "min_support exceeds the number of objects" in captured.err
+
+
+def test_run_leave_out_checks_the_target_before_announcing(golden_file,
+                                                          capsys):
+    assert main(["run", golden_file, "--target", "zz", "--leave-out", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sub-tables" not in captured.err
+    assert "zz" in captured.err
+
+
 def test_run_rejects_negative_workers(golden_file, capsys):
     assert main(["run", golden_file, "--workers", "-3"]) == 2
     captured = capsys.readouterr()
@@ -226,11 +248,11 @@ def test_concepts_size_guard(tmp_path, capsys):
 
 
 def test_run_config_defaults():
-    cfg = RunConfig(input_path="x")
-    assert cfg.input_format == "dense-csv"
-    assert cfg.basis_kind == "d-basis"
-    assert cfg.worker_count == 1
-    assert cfg.leave_out_k == 0
+    args = build_parser().parse_args(["run", "x"])
+    assert args.format == "dense-csv"
+    assert args.basis == "d-basis"
+    assert args.workers == 1
+    assert args.leave_out == 0
 
 
 def test_parser_requires_subcommand(capsys):
