@@ -2,9 +2,8 @@
 
 from .basis import (BasisResult, EmptySectorError, Implication, RuleQuery,
                     binary_part, compute_basis, evaluation_order,
-                    expand_to_original, extract_sector, leave_k_out_rules,
-                    measure, ordered_closure, refine_to_d_basis,
-                    sector_hypergraph)
+                    expand_to_original, leave_k_out_rules, measure,
+                    ordered_closure, refine_to_d_basis, sector_hypergraph)
 from .context import (BinaryContext, ParseError, ReductionRecord,
                       parse_context, parse_dense_csv, parse_fimi,
                       reduce_context)
@@ -37,7 +36,6 @@ __all__ = [
     "dualize_streaming",
     "evaluation_order",
     "expand_to_original",
-    "extract_sector",
     "format_edge_list",
     "leave_k_out_rules",
     "measure",

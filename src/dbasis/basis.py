@@ -161,13 +161,17 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
             tuple(ctx.attributes[c] for c in sector))
 
 
-def _binary_rules(ctx: BinaryContext, order: PartialOrder, full: bool,
-                  metrics: BinaryContext) -> list[Packed]:
-    pairs = sorted(order.pairs(),
-                   key=lambda p: (ctx.attribute_index[p[0]],
-                                  ctx.attribute_index[p[1]])) if full else order.covers()
-    midx, cols = metrics.attribute_index, metrics.column_masks
-    return [(midx[lo], (midx[up],), cols[midx[up]]) for lo, up in pairs]
+def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
+    """``orig[k]``: the column of ``original`` that is ``reduced``'s column k."""
+    return [original.attribute_index[a] for a in reduced.attributes]
+
+
+def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
+                  cols: Sequence[int]) -> list[Packed]:
+    """Order pairs as rules upper -> lower; ``orig`` maps the order's
+    elements to the columns ``cols`` of the metrics table."""
+    return [(orig[lo], (orig[up],), cols[orig[up]])
+            for lo, up in order._index_pairs(not full)]
 
 
 def binary_part(ctx: BinaryContext, order: PartialOrder, *,
@@ -179,16 +183,22 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
     transitive pairs as well.
     """
     metrics = metrics_ctx or ctx
-    return _implications(metrics, _unrefined(
-        _binary_rules(ctx, order, full, metrics)))
+    return _implications(metrics, _unrefined(_binary_rules(
+        order, full, _column_map(ctx, metrics), metrics.column_masks)))
 
 
 def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
-                  b: str, min_support: int,
+                  bj: int, min_support: int, orig: Sequence[int],
                   metrics: BinaryContext) -> list[Packed]:
-    midx, cols = metrics.attribute_index, metrics.column_masks
-    bo = midx[b]
-    orig = [midx[a] for a in ctx.attributes]
+    """Minimal non-binary covers of ctx's column bj, streamed out of the
+    dualizer as rules over ``metrics``' columns (``orig`` maps ctx's).
+
+    The search carries each premise's extent in ``metrics`` and cuts
+    every branch whose premise is already supported by fewer than
+    ``min_support`` objects.
+    """
+    cols = metrics.column_masks
+    bo = orig[bj]
     rules: list[Packed] = []
 
     # singletons are order pairs, left to the binary part; a full column
@@ -197,50 +207,31 @@ def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
         if len(premise) != 1:
             rules.append((bo, tuple(sorted(premise)), ext))
 
-    _transversals(_sector_edges(ctx, arrows, d, ctx.attribute_index[b]), sink,
-                  orig, [cols[j] for j in orig], (1 << len(metrics.objects)) - 1,
+    _transversals(_sector_edges(ctx, arrows, d, bj), sink, orig,
+                  [cols[j] for j in orig], (1 << len(metrics.objects)) - 1,
                   min_support, cols[bo])
     return rules
-
-
-def extract_sector(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
-                   b: str, query: RuleQuery | None = None, *,
-                   metrics_ctx: BinaryContext | None = None) -> list[Implication]:
-    """Minimal non-binary covers of b, streamed out of the dualizer.
-
-    Singleton transversals are order pairs and are left to the binary
-    part.  The search carries each premise's extent in the metrics
-    table (the original one in the pipeline), so the rules are measured
-    from it, and the ``min_support`` floor of the query cuts every
-    branch whose premise is already supported by fewer objects.
-    """
-    metrics = metrics_ctx or ctx
-    min_support = query.min_support if query else 0
-    return _implications(metrics, _unrefined(
-        _sector_rules(ctx, arrows, d, b, min_support, metrics)))
 
 
 # -- refinement ---------------------------------------------------------------
 
 
-def _d_basis_test(ctx: BinaryContext, order: PartialOrder,
+def _d_basis_test(order: PartialOrder, orig: Sequence[int],
                   metrics: BinaryContext) -> Callable[[int, Sequence[int]], bool]:
     """``test(b, xs)``: does the rule xs -> b survive down-replacement?
 
-    ``ctx`` is the table ``order`` belongs to; ``b`` and ``xs`` index
-    ``metrics``' columns.  b is in the closure of a set iff the set's
+    ``orig`` maps the order's elements to ``metrics``' columns, which
+    ``b`` and ``xs`` index.  b is in the closure of a set iff the set's
     extent lies in b's column, and the extent of X - x + below(x) is
-    ext(X - x) & ext(below(x)).  Both tables give the same closures of
-    ctx's attributes, since reduction keeps the lattice.
+    ext(X - x) & ext(below(x)).  The reduced and the original table give
+    the same closures of the order's elements, since reduction keeps
+    the lattice.
     """
-    if order.elements != ctx.attributes:
-        raise ValueError("order is not the attribute order of ctx")
     cols = metrics.column_masks
-    to_m = [metrics.attribute_index[a] for a in ctx.attributes]
     below_ext = [0] * len(cols)
     for k, below in enumerate(order.below_masks):
-        below_ext[to_m[k]] = metrics.extent_mask(
-            sum(1 << to_m[j] for j in _bits(below)))
+        below_ext[orig[k]] = metrics.extent_mask(
+            sum(1 << orig[j] for j in _bits(below)))
     everyone = (1 << len(metrics.objects)) - 1
 
     def in_d_basis(b: int, xs: Sequence[int]) -> bool:
@@ -269,7 +260,9 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     attributes strictly below x still yields b.  Binary and
     empty-premise rules always stay in.  ``order`` is ctx's own.
     """
-    test = _d_basis_test(ctx, order, ctx)
+    if order.elements != ctx.attributes:
+        raise ValueError("order is not the attribute order of ctx")
+    test = _d_basis_test(order, range(len(ctx.attributes)), ctx)
     aidx = ctx.attribute_index
     return [_implication(r.premise, r.conclusion, r.support,
                          r.premise_support, len(r.premise) < 2 or test(
@@ -448,9 +441,9 @@ def _init_worker(payload):
     _PAYLOAD = payload
 
 
-def _sector_job(b: str):
-    reduced, arrows, d, min_support, original = _PAYLOAD
-    return b, _sector_rules(reduced, arrows, d, b, min_support, original)
+def _sector_job(bj: int) -> list[Packed]:
+    reduced, arrows, d, min_support, orig, original = _PAYLOAD
+    return _sector_rules(reduced, arrows, d, bj, min_support, orig, original)
 
 
 def _check_query(ctx: BinaryContext, query: RuleQuery):
@@ -480,30 +473,30 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     arrows = compute_arrows(reduced)
     d = compute_d_relation(arrows)
 
-    rules = _binary_rules(reduced, order, full_binary, ctx)
+    orig = _column_map(reduced, ctx)
+    rules = _binary_rules(order, full_binary, orig, ctx.column_masks)
 
-    if query.target is None:
-        sector_attrs = list(reduced.attributes)
-    else:
-        sector_attrs = [query.target] if query.target in reduced.attribute_index else []
+    sectors = [bj for bj, b in enumerate(reduced.attributes)
+               if query.target in (None, b)]
 
     if worker_count == 0:
         worker_count = os.cpu_count() or 1
-    if worker_count > 1 and len(sector_attrs) > 1:
-        payload = (reduced, arrows, d, query.min_support, ctx)
-        with multiprocessing.Pool(processes=min(worker_count, len(sector_attrs)),
+    if worker_count > 1 and len(sectors) > 1:
+        payload = (reduced, arrows, d, query.min_support, orig, ctx)
+        with multiprocessing.Pool(processes=min(worker_count, len(sectors)),
                                   initializer=_init_worker,
                                   initargs=(payload,)) as pool:
-            produced = dict(pool.map(_sector_job, sector_attrs))
+            produced = pool.map(_sector_job, sectors)
     else:
-        produced = {b: _sector_rules(reduced, arrows, d, b, query.min_support,
-                                     ctx)
-                    for b in sector_attrs}
-    sector_counts = {b: len(produced[b]) for b in sector_attrs}
-    for b in sector_attrs:
-        rules.extend(produced[b])
+        produced = [_sector_rules(reduced, arrows, d, bj, query.min_support,
+                                  orig, ctx)
+                    for bj in sectors]
+    sector_counts = {reduced.attributes[bj]: len(got)
+                     for bj, got in zip(sectors, produced)}
+    for got in produced:
+        rules.extend(got)
 
-    in_d_basis = _d_basis_test(reduced, order, ctx)
+    in_d_basis = _d_basis_test(order, orig, ctx)
     packed = [(c, xs, ext, in_d_basis(c, xs)) for c, xs, ext in rules]
     packed += _unrefined(_expansion_rules(record, ctx))
     if query.target is not None:

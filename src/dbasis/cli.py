@@ -27,8 +27,9 @@ from .oracle import OracleSizeError, enumerate_concepts
 
 
 def _read(path: str) -> str:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return text.removeprefix("\ufeff")  # a leading byte-order mark
+    """The file or stdin (``-``) as UTF-8 text, whatever the locale says."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    return data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
 
 
 def run(args: argparse.Namespace, out=None, err=None) -> int:

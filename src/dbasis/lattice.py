@@ -33,21 +33,26 @@ class PartialOrder:
         mask = self.below_masks[self.elements.index(x)]
         return frozenset(self.elements[k] for k in _bits(mask))
 
+    def _index_pairs(self, covers: bool) -> list[tuple[int, int]]:
+        """Sorted strict pairs (lower, upper) of element indices; with
+        ``covers`` only those with nothing strictly between."""
+        out = []
+        for up, below in enumerate(self.below_masks):
+            if covers:
+                for mid in _bits(below):
+                    below &= ~self.below_masks[mid]
+            out.extend((lo, up) for lo in _bits(below))
+        return sorted(out)
+
     def pairs(self) -> set[tuple[str, str]]:
         """All strict pairs (lower, upper)."""
-        return {(self.elements[lo], up)
-                for up, below in zip(self.elements, self.below_masks)
-                for lo in _bits(below)}
+        return {(self.elements[lo], self.elements[up])
+                for lo, up in self._index_pairs(False)}
 
     def covers(self) -> list[tuple[str, str]]:
         """Covering pairs (lower, upper): nothing sits strictly between."""
-        out = []
-        for up, below in enumerate(self.below_masks):
-            between = 0
-            for mid in _bits(below):
-                between |= self.below_masks[mid]
-            out.extend((lo, up) for lo in _bits(below & ~between))
-        return [(self.elements[lo], self.elements[up]) for lo, up in sorted(out)]
+        return [(self.elements[lo], self.elements[up])
+                for lo, up in self._index_pairs(True)]
 
 
 def _check_clarified(ctx: BinaryContext):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dbasis import BinaryContext, Hypergraph
+from dbasis import BinaryContext, Hypergraph, RuleQuery, compute_basis
 
 # The 6x7 walkthrough table.  Rows 5 and 4 coincide, row 6 is the unit
 # of every closure, column u duplicates c1's support, and column v is
@@ -67,3 +67,12 @@ def random_hypergraph(rng: random.Random, max_vertices: int = 12,
         size = rng.randint(1, nv)
         edges.append(frozenset(rng.sample(range(nv), size)))
     return Hypergraph.from_edges(edges, vertex_count=nv)
+
+
+def sector_candidates(reduced: BinaryContext) -> list:
+    """The sector rules of a reduced table, from the pipeline: every
+    minimal-covers candidate that is not an order pair (a reduced table
+    has no removed attribute, hence no expansion rule)."""
+    result = compute_basis(reduced, RuleQuery(basis_kind="minimal-covers"))
+    assert result.reduced == reduced
+    return [r for r in result.candidates if len(r.premise) != 1]

@@ -13,16 +13,16 @@ from fractions import Fraction
 
 from dbasis import (attribute_order, binary_part, compute_arrows,
                     compute_basis, compute_d_relation, dualize,
-                    evaluation_order, extract_sector, leave_k_out_rules,
-                    measure, minimize, object_order, ordered_closure,
-                    reduce_context, refine_to_d_basis, render_arrow_table,
-                    sector_hypergraph, up_objects)
+                    evaluation_order, leave_k_out_rules, measure, minimize,
+                    object_order, ordered_closure, reduce_context,
+                    refine_to_d_basis, render_arrow_table, sector_hypergraph,
+                    up_objects)
 from dbasis.basis import format_rule_text
 from dbasis.oracle import brute_dual, brute_min_covers, replacement_excluded
 
 import conftest
 from helpers import (golden_context, random_context, random_hypergraph,
-                     reduced_golden_context)
+                     reduced_golden_context, sector_candidates)
 
 
 def _verdict(ok: bool, label: str):
@@ -187,12 +187,8 @@ def c4_corpus():
                              rng.choice([0.3, 0.5, 0.7]))
         reduced, record = reduce_context(ctx)
         order = attribute_order(reduced)
-        arrows = compute_arrows(reduced)
-        d = compute_d_relation(arrows)
-        sector_rules = []
-        for b in reduced.attributes:
-            sector_rules += extract_sector(reduced, arrows, d, b)
-        refined = refine_to_d_basis(reduced, order, sector_rules)
+        d = compute_d_relation(compute_arrows(reduced))
+        refined = refine_to_d_basis(reduced, order, sector_candidates(reduced))
         corpus.append((ctx, reduced, order, d, refined))
     _C4_CACHE = corpus
     return corpus

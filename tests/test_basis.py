@@ -6,14 +6,16 @@ import pytest
 
 from dbasis import (BinaryContext, EmptySectorError, Implication, RuleQuery,
                     attribute_order, binary_part, compute_arrows,
-                    compute_basis, compute_d_relation, evaluation_order,
-                    expand_to_original, extract_sector, leave_k_out_rules,
-                    measure, object_order, ordered_closure,
-                    reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import canonical_sort, format_rule_jsonl, format_rule_text
+                    compute_basis, compute_d_relation, dualize_streaming,
+                    evaluation_order, expand_to_original, leave_k_out_rules,
+                    measure, object_order, ordered_closure, reduce_context,
+                    refine_to_d_basis, sector_hypergraph)
+from dbasis.basis import (_sector_rules, canonical_sort, format_rule_jsonl,
+                          format_rule_text, render_lines)
 from dbasis.oracle import brute_min_covers, replacement_excluded
 
-from helpers import golden_context, random_context, reduced_golden_context
+from helpers import (golden_context, random_context, reduced_golden_context,
+                     sector_candidates)
 
 
 def rule_key(r):
@@ -89,19 +91,73 @@ def test_binary_part_full_includes_transitive_pairs():
     assert everything == covers | {(frozenset({"p"}), "r")}
 
 
-def test_extract_sector_golden():
+def covering(pairs, elements):
+    """The pairs with no element strictly between."""
+    return {(lo, up) for lo, up in pairs
+            if not any((lo, z) in pairs and (z, up) in pairs for z in elements)}
+
+
+def test_order_pairs_covers_and_binary_part_match_the_definition():
+    rng = random.Random(97)
+    seen_transitive = False
+    for _ in range(60):
+        ctx, _ = reduce_context(random_context(rng, rng.randint(2, 9),
+                                               rng.randint(2, 10),
+                                               rng.choice([0.3, 0.5, 0.7])))
+        attrs, objs = ctx.attributes, ctx.objects
+        ext = {a: ctx.support_of_attributes({a}) for a in attrs}
+        intent = {g: ctx.support_of_objects({g}) for g in objs}
+        # c lies below a when every object carrying a carries c; object g
+        # lies below h when g's row is contained in h's
+        attr_pairs = {(c, a) for c in attrs for a in attrs if ext[a] < ext[c]}
+        obj_pairs = {(g, h) for g in objs for h in objs if intent[g] < intent[h]}
+        idx = ctx.attribute_index
+        for order, pairs in ((attribute_order(ctx), attr_pairs),
+                             (object_order(ctx), obj_pairs)):
+            covers = covering(pairs, order.elements)
+            assert order.pairs() == pairs
+            pos = {x: k for k, x in enumerate(order.elements)}
+            assert order.covers() == sorted(
+                covers, key=lambda p: (pos[p[0]], pos[p[1]]))
+            seen_transitive |= covers != pairs
+        order = attribute_order(ctx)
+        for full in (False, True):
+            rules = binary_part(ctx, order, full=full)
+            want = attr_pairs if full else covering(attr_pairs, attrs)
+            assert [rule_key(r) for r in rules] == [
+                (frozenset({up}), lo) for lo, up in
+                sorted(want, key=lambda p: (idx[p[0]], idx[p[1]]))]
+            assert all(r.support == r.premise_support == len(ext[up])
+                       and r.confidence == 1 and r.in_d_basis
+                       for r in rules for up in r.premise)
+    assert seen_transitive
+
+
+def sector_keys(ctx, arrows, d, b):
+    """(premise labels, conclusion label) of the kernel's rules for b,
+    measured on ctx itself."""
+    labels = ctx.attributes
+    identity = range(len(labels))
+    return [(frozenset(labels[j] for j in xs), labels[c])
+            for c, xs, _ in _sector_rules(ctx, arrows, d, ctx.attribute_index[b],
+                                          0, identity, ctx)]
+
+
+def test_sector_rules_golden():
     ctx = reduced_golden_context()
     arrows = compute_arrows(ctx)
     d = compute_d_relation(arrows)
-    covers_b = {frozenset(r.premise) for r in extract_sector(ctx, arrows, d, "b")}
+    rules_b = sector_keys(ctx, arrows, d, "b")
+    assert {c for _, c in rules_b} == {"b"}
+    covers_b = {premise for premise, _ in rules_b}
     assert covers_b == {frozenset({"a1", "a2"}), frozenset({"a1", "c2"}),
                         frozenset({"a2", "c1"})}
-    covers_a1 = {frozenset(r.premise) for r in extract_sector(ctx, arrows, d, "a1")}
+    covers_a1 = {premise for premise, _ in sector_keys(ctx, arrows, d, "a1")}
     assert covers_a1 == {frozenset({"a2", "c1"})}
-    assert extract_sector(ctx, arrows, d, "c1") == []
+    assert sector_keys(ctx, arrows, d, "c1") == []
 
 
-def test_extract_sector_full_column_gives_empty_premise():
+def test_sector_rules_full_column_gives_empty_premise():
     ctx = BinaryContext(["x", "y"], ["p", "q"], [[1, 1], [1, 0]])
     reduced, _ = reduce_context(ctx)
     # p is gone after reduction; build the sector on an unreduced-but-
@@ -109,18 +165,83 @@ def test_extract_sector_full_column_gives_empty_premise():
     ctx2 = BinaryContext(["x"], ["p"], [[1]])
     arrows = compute_arrows(ctx2)
     d = compute_d_relation(arrows)
-    rules = extract_sector(ctx2, arrows, d, "p")
-    assert [rule_key(r) for r in rules] == [(frozenset(), "p")]
+    assert sector_keys(ctx2, arrows, d, "p") == [(frozenset(), "p")]
+
+
+def with_reducible_rows_and_columns(rng):
+    """A random table plus a duplicate row, an intersection row, a
+    duplicate column and a meet column, rows and columns shuffled."""
+    base = random_context(rng, rng.randint(5, 8), rng.randint(5, 8),
+                          rng.choice((0.4, 0.6)))
+    rows = [[int(base.bit(i, j)) for j in range(len(base.attributes))]
+            for i in range(len(base.objects))]
+    a, b = rng.sample(range(len(rows)), 2)
+    rows += [rows[a][:], [x & y for x, y in zip(rows[a], rows[b])]]
+    p, q = rng.sample(range(len(base.attributes)), 2)
+    rows = [row + [row[p], row[p] & row[q]] for row in rows]
+    rng.shuffle(rows)
+    perm = rng.sample(range(len(rows[0])), len(rows[0]))
+    return BinaryContext([f"o{i}" for i in range(len(rows))],
+                         [f"a{j}" for j in range(len(perm))],
+                         [[row[j] for j in perm] for row in rows])
+
+
+def public_rebuild_lines(ctx, query, jsonl):
+    """The output lines of a plain run, rebuilt one public function at a
+    time: binary part, per-sector hypergraph and streamed dualization
+    measured on ctx, refinement, expansion, filters, sort, formatter."""
+    reduced, record = reduce_context(ctx)
+    order = attribute_order(reduced)
+    arrows = compute_arrows(reduced)
+    d = compute_d_relation(arrows)
+    rules = binary_part(reduced, order, metrics_ctx=ctx)
+    full = (1 << len(reduced.objects)) - 1
+    for b in reduced.attributes:
+        if query.target not in (None, b):
+            continue
+        if reduced.column_masks[reduced.attribute_index[b]] == full:
+            rules.append(measure(ctx, frozenset(), b))
+            continue
+        try:
+            h, labels = sector_hypergraph(reduced, arrows, d, b)
+        except EmptySectorError:
+            continue
+
+        def sink(t, labels=labels, b=b):
+            if len(t) >= 2:
+                rules.append(measure(ctx, frozenset(labels[v] for v in t), b))
+
+        dualize_streaming(h, sink)
+    rules = refine_to_d_basis(reduced, order, rules)
+    rules = expand_to_original(record, rules, metrics_ctx=ctx)
+    rules = [r for r in canonical_sort(rules, ctx)
+             if r.support >= query.min_support and r.in_d_basis
+             and query.target in (None, r.conclusion)]
+    fmt = format_rule_jsonl if jsonl else format_rule_text
+    return [fmt(r, ctx.attribute_index) for r in rules]
+
+
+def test_public_function_rebuild_matches_the_pipeline():
+    rng = random.Random(101)
+    removed = 0
+    for t in range(30):
+        ctx = with_reducible_rows_and_columns(rng)
+        target = rng.choice(ctx.attributes)
+        for query in (RuleQuery(), RuleQuery(min_support=2),
+                      RuleQuery(target=target)):
+            result = compute_basis(ctx, query)
+            for jsonl in (False, True):
+                assert (public_rebuild_lines(ctx, query, jsonl)
+                        == list(render_lines(ctx, result.packed_rules, jsonl))
+                        ), (t, query, jsonl)
+        removed += len(result.record.attribute_substitutions)
+    assert removed >= 60
 
 
 def test_refine_golden_flags():
     ctx = reduced_golden_context()
     order = attribute_order(ctx)
-    arrows = compute_arrows(ctx)
-    d = compute_d_relation(arrows)
-    rules = binary_part(ctx, order)
-    for b in ctx.attributes:
-        rules += extract_sector(ctx, arrows, d, b)
+    rules = binary_part(ctx, order) + sector_candidates(ctx)
     refined = refine_to_d_basis(ctx, order, rules)
     flags = {rule_key(r): r.in_d_basis for r in refined}
     assert flags[(frozenset({"a1", "a2"}), "b")] is False
@@ -144,12 +265,7 @@ def test_refine_matches_exhaustive_replacement():
                                                rng.randint(1, 6),
                                                rng.choice([0.4, 0.6])))
         order = attribute_order(ctx)
-        arrows = compute_arrows(ctx)
-        d = compute_d_relation(arrows)
-        rules = []
-        for b in ctx.attributes:
-            rules += extract_sector(ctx, arrows, d, b)
-        for r in refine_to_d_basis(ctx, order, rules):
+        for r in refine_to_d_basis(ctx, order, sector_candidates(ctx)):
             expected = not replacement_excluded(ctx, order, r.premise,
                                                 r.conclusion)
             assert r.in_d_basis == expected, (r.premise, r.conclusion)
@@ -159,11 +275,8 @@ def test_expand_golden():
     ctx = golden_context()
     reduced, record = reduce_context(ctx)
     order = attribute_order(reduced)
-    arrows = compute_arrows(reduced)
-    d = compute_d_relation(arrows)
     rules = binary_part(reduced, order, metrics_ctx=ctx)
-    for b in reduced.attributes:
-        rules += extract_sector(reduced, arrows, d, b, metrics_ctx=ctx)
+    rules += sector_candidates(reduced)
     rules = refine_to_d_basis(reduced, order, rules)
     expanded = expand_to_original(record, rules, metrics_ctx=ctx)
     keys = {rule_key(r) for r in expanded}
@@ -365,20 +478,18 @@ def test_pipeline_covers_match_oracle_on_randoms():
                                                rng.randint(1, 6),
                                                rng.choice([0.4, 0.6])))
         order = attribute_order(ctx)
-        arrows = compute_arrows(ctx)
-        d = compute_d_relation(arrows)
-        for b in ctx.attributes:
-            got = {frozenset(r.premise)
-                   for r in extract_sector(ctx, arrows, d, b)
-                   if len(r.premise) >= 2}
+        d = compute_d_relation(compute_arrows(ctx))
+        by_conclusion = {b: [] for b in ctx.attributes}
+        for r in sector_candidates(ctx):
+            by_conclusion[r.conclusion].append(r)
+        for b, rules in by_conclusion.items():
+            got = {frozenset(r.premise) for r in rules if len(r.premise) >= 2}
             legal = {X for X in brute_min_covers(ctx, b)
                      if len(X) >= 2 and X <= d.sectors[b]}
             assert got == legal, (b, got, legal)
             survivors_fast = {
                 frozenset(r.premise)
-                for r in refine_to_d_basis(
-                    ctx, order,
-                    extract_sector(ctx, arrows, d, b))
+                for r in refine_to_d_basis(ctx, order, rules)
                 if r.in_d_basis and len(r.premise) >= 2}
             survivors_brute = {
                 X for X in brute_min_covers(ctx, b)

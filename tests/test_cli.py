@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import subprocess
@@ -174,16 +175,19 @@ def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent/table.csv"]) == 2
 
 
+def fake_stdin(data: bytes, encoding: str = "utf-8") -> io.TextIOWrapper:
+    """A text-mode stdin over ``data`` that decodes it as ``encoding``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
+
+
 def test_run_fimi_stdin(monkeypatch, capsys):
-    import io
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n2 3\n"))
+    monkeypatch.setattr(sys, "stdin", fake_stdin(b"1 2\n2 3\n"))
     assert main(["run", "-", "--format", "fimi-transactions"]) == 0
     out = capsys.readouterr().out
     assert "2" in out
 
 
 def test_inputs_with_a_byte_order_mark(tmp_path, monkeypatch, capsys):
-    import io
     table = tmp_path / "bom.csv"
     table.write_text(GOLDEN_CSV, encoding="utf-8-sig")
     assert main(["run", str(table), "--target", "b"]) == 0
@@ -193,10 +197,37 @@ def test_inputs_with_a_byte_order_mark(tmp_path, monkeypatch, capsys):
     fimi.write_text("1 2\n2 3\n", encoding="utf-8-sig")
     assert main(["run", str(fimi), "--format", "fimi", "--target", "2"]) == 0
     plain = capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff1 2\n2 3\n"))
+    monkeypatch.setattr(sys, "stdin", fake_stdin("\ufeff1 2\n2 3\n".encode()))
     assert main(["run", "-", "--format", "fimi", "--target", "2"]) == 0
     assert capsys.readouterr().out == plain
     assert plain.startswith("-> 2 ")
+
+
+def test_stdin_is_utf8_whatever_the_locale_decodes(tmp_path, monkeypatch,
+                                                    capsys):
+    # with a latin-1 locale the byte-order mark and a non-ASCII label
+    # must still read as from a file path, for every subcommand
+    table = GOLDEN_CSV.replace("c2", "c\u00e9")
+    cases = [(["run"], table), (["run", "--output", "jsonl"], table),
+             (["arrows"], table),
+             (["concepts"], "p,q\nx\u00e9,1,1\ny,1,0\n"),
+             (["dualize"], "0 1\n1 2\n0 2\n")]
+    for (command, *opts), text in cases:
+        path = tmp_path / "input"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        assert main([command, str(path), *opts]) == 0
+        from_path = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", fake_stdin(path.read_bytes(),
+                                                     "latin-1"))
+        assert main([command, "-", *opts]) == 0
+        assert capsys.readouterr().out == from_path, command
+        if command != "dualize":
+            assert "\u00e9" in from_path, command
+    monkeypatch.setattr(sys, "stdin", fake_stdin(
+        ("\ufeff" + table).encode("utf-8"), "latin-1"))
+    assert main(["run", "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        ln.replace("c2", "c\u00e9") for ln in GOLDEN_TEXT_RULES]
 
 
 def test_dualize_subcommand(tmp_path, capsys):
