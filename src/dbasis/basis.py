@@ -3,20 +3,21 @@
 The pipeline: reduce the table, compute arrows and the D-relation, then
 for each attribute b dualize the sector hypergraph whose minimal
 transversals are exactly the minimal non-binary premises implying b.
-A final refinement pass flags the rules that survive down-replacement
+The dualizer's sink flags each transversal that survives down-replacement
 (the D-basis proper), and removed attributes are translated back in.
 
 Inside the pipeline a rule is a packed tuple ``(conclusion, premise,
-ext)``: the conclusion's column index in the original table, the
-premise as a sorted tuple of original column indices, and the premise's
-extent (object mask) in the original table.  Refinement appends the
-D-basis flag.  Support is ``popcount(ext & col[conclusion])`` and premise
-support ``popcount(ext)``, so every metric is counted on the original
-table, never the reduced one.  Leave-k-out merges its sub-tables'
-packed rules by conclusion and premise mask and returns packed rules
-too.  Rules become ``Implication`` objects with a ``Fraction``
-confidence only at the library edge; ``render_lines`` formats the
-output lines of both modes straight from the ints.
+ext, in_d_basis)``: the conclusion's column index in the original table,
+the premise as a sorted tuple of original column indices, the premise's
+extent (object mask) in the original table, and the D-basis flag (True
+for binary and expansion rules).  Support is ``popcount(ext &
+col[conclusion])`` and premise support ``popcount(ext)``, so every
+metric is counted on the original table, never the reduced one.
+Leave-k-out merges its sub-tables' packed rules by conclusion and
+premise mask and returns packed rules too.  Rules become
+``Implication`` objects with a ``Fraction`` confidence only at the
+library edge; ``render_lines`` formats the output lines of both modes
+straight from the ints.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, partial
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .context import BinaryContext, ReductionRecord, _bits, reduce_context
 from .dualization import Hypergraph, _minimal, _transversals
 from .lattice import (ArrowTable, DRelation, PartialOrder, attribute_order,
                       compute_arrows, compute_d_relation)
 
-# (conclusion, premise, ext), and with the D-basis flag appended
-Packed = tuple[int, tuple[int, ...], int]
+# (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
 
 
@@ -85,15 +85,11 @@ def _implication(premise: frozenset[str], conclusion: str, sup: int,
 
 def _implications(ctx: BinaryContext,
                   rules: Iterable[Flagged]) -> list[Implication]:
-    """Packed rules over ``ctx``'s columns as objects."""
+    """Rules (packed tuples over ``ctx``'s columns) as objects."""
     labels, cols = ctx.attributes, ctx.column_masks
     return [_implication(frozenset(labels[j] for j in xs), labels[c],
                          (ext & cols[c]).bit_count(), ext.bit_count(), flag)
             for c, xs, ext, flag in rules]
-
-
-def _unrefined(rules: Iterable[Packed]) -> list[Flagged]:
-    return [(c, xs, ext, True) for c, xs, ext in rules]
 
 
 def measure(ctx: BinaryContext, premise: Iterable[str], conclusion: str,
@@ -167,10 +163,10 @@ def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
 
 
 def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
-                  cols: Sequence[int]) -> list[Packed]:
+                  cols: Sequence[int]) -> list[Flagged]:
     """Order pairs as rules upper -> lower; ``orig`` maps the order's
     elements to the columns ``cols`` of the metrics table."""
-    return [(orig[lo], (orig[up],), cols[orig[up]])
+    return [(orig[lo], (orig[up],), cols[orig[up]], True)
             for lo, up in order._index_pairs(not full)]
 
 
@@ -183,32 +179,28 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
     transitive pairs as well.
     """
     metrics = metrics_ctx or ctx
-    return _implications(metrics, _unrefined(_binary_rules(
-        order, full, _column_map(ctx, metrics), metrics.column_masks)))
+    return _implications(metrics, _binary_rules(
+        order, full, _column_map(ctx, metrics), metrics.column_masks))
 
 
-def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
-                  bj: int, min_support: int, orig: Sequence[int],
-                  metrics: BinaryContext) -> list[Packed]:
-    """Minimal non-binary covers of ctx's column bj, streamed out of the
-    dualizer as rules over ``metrics``' columns (``orig`` maps ctx's).
-
-    The search carries each premise's extent in ``metrics`` and cuts
-    every branch whose premise is already supported by fewer than
-    ``min_support`` objects.
+def _sector_rules(orig: Sequence[int], cols: Sequence[int],
+                  down: Sequence[int], everyone: int, min_support: int,
+                  edges: list[int], bo: int) -> list[Flagged]:
+    """Minimal non-binary covers of column ``bo`` (``edges``, over the
+    reduced columns that ``orig`` maps to ``cols``), streamed out of the
+    dualizer as flagged rules.  The search carries each premise's extent
+    and cuts every branch supported by fewer than ``min_support`` objects.
     """
-    cols = metrics.column_masks
-    bo = orig[bj]
-    rules: list[Packed] = []
+    rules: list[Flagged] = []
 
     # singletons are order pairs, left to the binary part; a full column
     # has no up arrow, hence no edge, and gets the empty premise
     def sink(premise: list[int], ext: int):
         if len(premise) != 1:
-            rules.append((bo, tuple(sorted(premise)), ext))
+            xs = tuple(sorted(premise))
+            rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
 
-    _transversals(_sector_edges(ctx, arrows, d, bj), sink, orig,
-                  [cols[j] for j in orig], (1 << len(metrics.objects)) - 1,
+    _transversals(edges, sink, orig, [cols[j] for j in orig], everyone,
                   min_support, cols[bo])
     return rules
 
@@ -216,40 +208,39 @@ def _sector_rules(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
 # -- refinement ---------------------------------------------------------------
 
 
-def _d_basis_test(order: PartialOrder, orig: Sequence[int],
-                  metrics: BinaryContext) -> Callable[[int, Sequence[int]], bool]:
-    """``test(b, xs)``: does the rule xs -> b survive down-replacement?
-
-    ``orig`` maps the order's elements to ``metrics``' columns, which
-    ``b`` and ``xs`` index.  b is in the closure of a set iff the set's
-    extent lies in b's column, and the extent of X - x + below(x) is
-    ext(X - x) & ext(below(x)).  The reduced and the original table give
-    the same closures of the order's elements, since reduction keeps
-    the lattice.
-    """
-    cols = metrics.column_masks
-    below_ext = [0] * len(cols)
+def _down_extents(order: PartialOrder, orig: Sequence[int],
+                  metrics: BinaryContext) -> list[int]:
+    """``down[orig[k]]``: the extent in ``metrics`` of the attributes
+    strictly below the order's element k (0 for unmapped columns)."""
+    down = [0] * len(metrics.column_masks)
     for k, below in enumerate(order.below_masks):
-        below_ext[orig[k]] = metrics.extent_mask(
+        down[orig[k]] = metrics.extent_mask(
             sum(1 << orig[j] for j in _bits(below)))
-    everyone = (1 << len(metrics.objects)) - 1
+    return down
 
-    def in_d_basis(b: int, xs: Sequence[int]) -> bool:
-        if len(xs) < 2:
-            return True
-        # suf[i]: extent of xs[i:]; pre: extent of xs[:i]
-        suf = [everyone] * (len(xs) + 1)
-        for i in range(len(xs) - 1, 0, -1):
-            suf[i] = suf[i + 1] & cols[xs[i]]
-        outside_b = ~cols[b]
-        pre = everyone
-        for i, x in enumerate(xs):
-            if pre & suf[i + 1] & below_ext[x] & outside_b == 0:
-                return False
-            pre &= cols[x]
+
+def _in_d_basis(cols: Sequence[int], down: Sequence[int], b: int,
+                xs: Sequence[int]) -> bool:
+    """Does xs -> b survive down-replacement?  Premises shorter than 2 do.
+
+    b is in the closure of a set iff the set's extent lies in b's column,
+    and the extent of X - x + below(x) is ext(X - x) & down[x].  Reduction
+    keeps the lattice, so both tables give the same closures.
+    """
+    if len(xs) < 2:
         return True
-
-    return in_d_basis
+    # suf[i]: extent of xs[i:]; pre: extent of xs[:i]; -1 is every object
+    # (down[x] is a finite mask, so the test below stays finite)
+    suf = [-1] * (len(xs) + 1)
+    for i in range(len(xs) - 1, 0, -1):
+        suf[i] = suf[i + 1] & cols[xs[i]]
+    outside_b = ~cols[b]
+    pre = -1
+    for i, x in enumerate(xs):
+        if pre & suf[i + 1] & down[x] & outside_b == 0:
+            return False
+        pre &= cols[x]
+    return True
 
 
 def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
@@ -262,11 +253,11 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     """
     if order.elements != ctx.attributes:
         raise ValueError("order is not the attribute order of ctx")
-    test = _d_basis_test(order, range(len(ctx.attributes)), ctx)
-    aidx = ctx.attribute_index
-    return [_implication(r.premise, r.conclusion, r.support,
-                         r.premise_support, len(r.premise) < 2 or test(
-                             aidx[r.conclusion], [aidx[x] for x in r.premise]))
+    cols, aidx = ctx.column_masks, ctx.attribute_index
+    down = _down_extents(order, range(len(cols)), ctx)
+    return [_implication(r.premise, r.conclusion, r.support, r.premise_support,
+                         _in_d_basis(cols, down, aidx[r.conclusion],
+                                     [aidx[x] for x in r.premise]))
             for r in rules]
 
 
@@ -274,18 +265,20 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
 
 
 def _expansion_rules(record: ReductionRecord,
-                     metrics: BinaryContext) -> list[Packed]:
+                     metrics: BinaryContext) -> list[Flagged]:
     subs = record.attribute_substitutions
     aidx, cols = metrics.attribute_index, metrics.column_masks
-    out: list[Packed] = []
+    out: list[Flagged] = []
     for a in sorted(subs, key=aidx.__getitem__):
         j = aidx[a]
         if a in record.saturated_attributes:
-            out += [(x, (j,), cols[j]) for x in range(len(cols)) if x != j]
+            out += [(x, (j,), cols[j], True)
+                    for x in range(len(cols)) if x != j]
         else:
             xs = tuple(sorted(aidx[x] for x in subs[a]))
-            out.append((j, xs, metrics.extent_mask(sum(1 << x for x in xs))))
-            out += [(x, (j,), cols[j]) for x in xs]
+            out.append((j, xs, metrics.extent_mask(sum(1 << x for x in xs)),
+                        True))
+            out += [(x, (j,), cols[j], True) for x in xs]
     return out
 
 
@@ -301,8 +294,8 @@ def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
     through those of its rules, i.e. not at all, matching the
     reduction's bookkeeping.  Rules are measured on ``metrics_ctx``.
     """
-    return list(rules) + _implications(metrics_ctx, _unrefined(
-        _expansion_rules(record, metrics_ctx)))
+    return list(rules) + _implications(
+        metrics_ctx, _expansion_rules(record, metrics_ctx))
 
 
 # -- closure evaluation --------------------------------------------------------
@@ -356,7 +349,7 @@ def evaluation_order(rules: Iterable[Implication],
 # -- the assembled pipeline -----------------------------------------------------
 
 
-def _canonical_key(rule: Packed | Flagged) -> tuple:
+def _canonical_key(rule: Flagged) -> tuple:
     """Conclusion column, premise size, then premise columns."""
     return rule[0], len(rule[1]), rule[1]
 
@@ -433,19 +426,6 @@ class BasisResult:
         return lines
 
 
-_PAYLOAD = None
-
-
-def _init_worker(payload):
-    global _PAYLOAD
-    _PAYLOAD = payload
-
-
-def _sector_job(bj: int) -> list[Packed]:
-    reduced, arrows, d, min_support, orig, original = _PAYLOAD
-    return _sector_rules(reduced, arrows, d, bj, min_support, orig, original)
-
-
 def _check_query(ctx: BinaryContext, query: RuleQuery):
     if query.min_support > len(ctx.objects):
         raise ValueError("min_support exceeds the number of objects")
@@ -474,36 +454,32 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     d = compute_d_relation(arrows)
 
     orig = _column_map(reduced, ctx)
-    rules = _binary_rules(order, full_binary, orig, ctx.column_masks)
+    cols = ctx.column_masks
+    packed = _binary_rules(order, full_binary, orig, cols)
 
     sectors = [bj for bj, b in enumerate(reduced.attributes)
                if query.target in (None, b)]
+    job = partial(_sector_rules, orig, cols, _down_extents(order, orig, ctx),
+                  (1 << len(ctx.objects)) - 1, query.min_support)
+    jobs = [(_sector_edges(reduced, arrows, d, bj), orig[bj])
+            for bj in sectors]
 
     if worker_count == 0:
         worker_count = os.cpu_count() or 1
-    if worker_count > 1 and len(sectors) > 1:
-        payload = (reduced, arrows, d, query.min_support, orig, ctx)
-        with multiprocessing.Pool(processes=min(worker_count, len(sectors)),
-                                  initializer=_init_worker,
-                                  initargs=(payload,)) as pool:
-            produced = pool.map(_sector_job, sectors)
+    if worker_count > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(min(worker_count, len(jobs))) as pool:
+            produced = pool.starmap(job, jobs)
     else:
-        produced = [_sector_rules(reduced, arrows, d, bj, query.min_support,
-                                  orig, ctx)
-                    for bj in sectors]
+        produced = list(itertools.starmap(job, jobs))
     sector_counts = {reduced.attributes[bj]: len(got)
                      for bj, got in zip(sectors, produced)}
     for got in produced:
-        rules.extend(got)
-
-    in_d_basis = _d_basis_test(order, orig, ctx)
-    packed = [(c, xs, ext, in_d_basis(c, xs)) for c, xs, ext in rules]
-    packed += _unrefined(_expansion_rules(record, ctx))
+        packed += got
+    packed += _expansion_rules(record, ctx)
     if query.target is not None:
         target = ctx.attribute_index[query.target]
         packed = [r for r in packed if r[0] == target]
     if query.min_support:
-        cols = ctx.column_masks
         packed = [r for r in packed
                   if (r[2] & cols[r[0]]).bit_count() >= query.min_support]
     packed.sort(key=_canonical_key)
@@ -576,7 +552,7 @@ def leave_k_out_rules(ctx: BinaryContext, k: int,
 
 def render_lines(ctx: BinaryContext, rules: Iterable[Flagged],
                  jsonl: bool = False) -> Iterator[str]:
-    """Packed rules over ``ctx``'s columns as output lines."""
+    """Rules (packed tuples over ``ctx``'s columns) as output lines."""
     labels, cols = ctx.attributes, ctx.column_masks
     for c, xs, ext, flag in rules:
         yield render_line([labels[j] for j in xs], labels[c],

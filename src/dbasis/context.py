@@ -248,6 +248,8 @@ def parse_dense_csv(text: str) -> BinaryContext:
             raise ParseError(
                 f"row {len(objects) + 1} has {len(toks) - 1} entries, "
                 f"expected {len(attributes)}")
+        if not toks[0]:
+            raise ParseError(f"row {len(objects) + 1} has an empty object label")
         objects.append(toks[0])
         row = 0
         for j, tok in enumerate(toks[1:]):
@@ -265,16 +267,14 @@ def parse_fimi(text: str) -> BinaryContext:
     """FIMI transactions: one line per object, space-separated item numbers."""
     transactions = []
     for lineno, ln in enumerate(text.splitlines(), start=1):
-        items = set()
-        for tok in ln.split():
-            try:
-                item = int(tok)
-            except ValueError:
-                raise ParseError(
-                    f"line {lineno}: non-integer token {tok!r}") from None
-            if item <= 0:
-                raise ParseError(f"line {lineno}: item must be positive, got {item}")
-            items.add(item)
+        toks = ln.split()
+        # int() alone would also take '1_0', '+2' and non-ASCII digits
+        if not (ln.isascii() and all(map(str.isdigit, toks))):
+            raise ParseError(f"line {lineno}: items must be ASCII decimal "
+                             "integers")
+        items = set(map(int, toks))
+        if 0 in items:
+            raise ParseError(f"line {lineno}: item must be positive, got 0")
         transactions.append(items)
     while transactions and not transactions[-1]:
         transactions.pop()  # trailing blank lines are not transactions

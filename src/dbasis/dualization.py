@@ -70,8 +70,12 @@ def _edge_masks(h: Hypergraph, op: str) -> list[int]:
 
 def _minimal(edges: Iterable[int]) -> list[int]:
     """The distinct inclusion-minimal masks, by size then vertex order."""
+    # bin(e)[:1:-1] spells e's bits lowest first, so among masks of one
+    # size the vertex order is the reverse string order (and cheap)
+    ordered = sorted(set(edges), key=lambda e: bin(e)[:1:-1], reverse=True)
+    ordered.sort(key=int.bit_count)
     kept: list[int] = []
-    for e in sorted(set(edges), key=lambda e: (e.bit_count(), list(_bits(e)))):
+    for e in ordered:
         if all(k & ~e for k in kept):
             kept.append(e)
     return kept
@@ -197,13 +201,11 @@ def parse_edge_list(text: str) -> Hypergraph:
         toks = ln.split()
         if not toks:
             raise ValueError(f"line {lineno}: empty edge")
-        try:
-            edge = frozenset(int(t) for t in toks)
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer vertex") from None
-        if any(v < 0 for v in edge):
-            raise ValueError(f"line {lineno}: negative vertex index")
-        edges.append(edge)
+        # int() alone would also take '1_0', '+2' and non-ASCII digits
+        if not (ln.isascii() and all(map(str.isdigit, toks))):
+            raise ValueError(f"line {lineno}: vertex indices must be ASCII "
+                             "decimal integers")
+        edges.append(frozenset(map(int, toks)))
     return Hypergraph.from_edges(edges)
 
 

@@ -10,8 +10,9 @@ from dbasis import (BinaryContext, EmptySectorError, Implication, RuleQuery,
                     evaluation_order, expand_to_original, leave_k_out_rules,
                     measure, object_order, ordered_closure, reduce_context,
                     refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (_sector_rules, canonical_sort, format_rule_jsonl,
-                          format_rule_text, render_lines)
+from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
+                          canonical_sort, format_rule_jsonl, format_rule_text,
+                          render_lines)
 from dbasis.oracle import brute_min_covers, replacement_excluded
 
 from helpers import (golden_context, random_context, reduced_golden_context,
@@ -136,11 +137,14 @@ def test_order_pairs_covers_and_binary_part_match_the_definition():
 def sector_keys(ctx, arrows, d, b):
     """(premise labels, conclusion label) of the kernel's rules for b,
     measured on ctx itself."""
-    labels = ctx.attributes
+    labels, cols = ctx.attributes, ctx.column_masks
     identity = range(len(labels))
+    down = _down_extents(attribute_order(ctx), identity, ctx)
+    bj = ctx.attribute_index[b]
     return [(frozenset(labels[j] for j in xs), labels[c])
-            for c, xs, _ in _sector_rules(ctx, arrows, d, ctx.attribute_index[b],
-                                          0, identity, ctx)]
+            for c, xs, _, _ in _sector_rules(
+                identity, cols, down, (1 << len(ctx.objects)) - 1, 0,
+                _sector_edges(ctx, arrows, d, bj), bj)]
 
 
 def test_sector_rules_golden():
@@ -349,19 +353,25 @@ def test_compute_basis_min_support():
 
 
 def test_compute_basis_worker_counts_agree():
-    ctx = golden_context()
-    base = compute_basis(ctx, worker_count=1)
-    for workers in (2, 4, 8):
-        alt = compute_basis(ctx, worker_count=workers)
-        assert alt.rules == base.rules
-        assert [r.support for r in alt.rules] == [r.support for r in base.rules]
-        assert alt.sector_counts == base.sector_counts
+    # the flags are computed inside the workers, so compare whole packed
+    # rules (metrics and flags too) on tables whose reduction drops
+    # columns, i.e. whose column map is not the identity
     rng = random.Random(47)
-    for _ in range(3):
-        rctx = random_context(rng, 8, 10, 0.4)
-        serial = compute_basis(rctx, worker_count=1)
-        parallel = compute_basis(rctx, worker_count=3)
-        assert serial.rules == parallel.rules
+    tables = [golden_context()] + [with_reducible_rows_and_columns(rng)
+                                   for _ in range(3)]
+    remapped = 0
+    for ctx in tables:
+        for query in (RuleQuery(), RuleQuery(min_support=2),
+                      RuleQuery(target=rng.choice(ctx.attributes)),
+                      RuleQuery(basis_kind="minimal-covers")):
+            base = compute_basis(ctx, query, worker_count=1)
+            remapped += base.reduced.attributes != ctx.attributes
+            for workers in (2, 3):
+                alt = compute_basis(ctx, query, worker_count=workers)
+                assert alt.packed == base.packed
+                assert alt.packed_rules == base.packed_rules
+                assert alt.sector_counts == base.sector_counts
+    assert remapped
 
 
 def rule_row(r):

@@ -171,6 +171,13 @@ def test_run_parse_error(tmp_path, capsys):
     assert "0 or 1" in capsys.readouterr().err
 
 
+def test_run_rejects_a_fimi_item_that_is_not_ascii_decimal(tmp_path, capsys):
+    bad = tmp_path / "bad.dat"
+    bad.write_text("1 2\n1_0 2\n")
+    assert main(["run", str(bad), "--format", "fimi"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent/table.csv"]) == 2
 

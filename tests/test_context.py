@@ -37,6 +37,7 @@ def test_parse_dense_csv_single_cell():
     "a,b\no1,1,0,1\n",      # long row
     "a,b\no1,1,2\n",        # bad entry
     "a,,b\no1,1,0,1\n",     # empty header label
+    "a,b\n,1,0\nx,0,1\n",    # empty object label
 ])
 def test_parse_dense_csv_rejects(text):
     with pytest.raises(ParseError):
@@ -66,7 +67,10 @@ def test_parse_fimi_trailing_blanks_and_interior_empty():
     assert not any(ctx.has("2", a) for a in ctx.attributes)
 
 
-@pytest.mark.parametrize("text", ["x y\n", "1 -2\n", "0\n", "", "\n\n"])
+@pytest.mark.parametrize("text", [
+    "x y\n", "1 -2\n", "0\n", "", "\n\n",
+    "1_0 2\n", "+2\n", "\u0663\n",  # int() would read these as 10, 2 and 3
+])
 def test_parse_fimi_rejects(text):
     with pytest.raises(ParseError):
         parse_fimi(text)

@@ -188,7 +188,10 @@ def test_edge_list_round_trip():
     assert edge_sets(parse_edge_list(text)) == edge_sets(h)
 
 
-@pytest.mark.parametrize("text", ["0 x\n", "-1\n", "0\n\n1\n"])
+@pytest.mark.parametrize("text", [
+    "0 x\n", "-1\n", "0\n\n1\n",
+    "1_0\n", "+2\n", "\u0663 1\n",  # int() would read these as 10, 2 and 3
+])
 def test_parse_edge_list_rejects(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
