@@ -506,10 +506,10 @@ def leave_k_out_packed(ctx: BinaryContext, k: int,
     """High-confidence rules via the row-subset scheme, packed.
 
     Runs the exact pipeline on every table missing k rows, merges the
-    rules (a rule is in the D-basis when some sub-table says so), keeps
-    the premise-minimal ones per conclusion, re-measures them on the
-    full table, and filters to confidence >= (n-k)/n.  k = 0 is exactly
-    the plain pipeline.
+    rules (a rule is in the D-basis when some sub-table says so),
+    re-measures them on the full table, keeps those with confidence
+    >= (n-k)/n and the support floor, and of these the premise-minimal
+    ones per conclusion.  k = 0 is exactly the plain pipeline.
     """
     query = query or RuleQuery()
     leave_k_out_count(ctx, k, query)
@@ -531,12 +531,16 @@ def leave_k_out_packed(ctx: BinaryContext, k: int,
     cols = ctx.column_masks
     kept: list[Flagged] = []
     for c, flags in merged.items():
-        for mask in _minimal(flags):
+        exts = {}
+        for mask in flags:
             ext = ctx.extent_mask(mask)
             sup, psup = (ext & cols[c]).bit_count(), ext.bit_count()
             # confidence sup/psup >= (n-k)/n, and 1 for an empty extent
             if sup >= query.min_support and sup * n >= (n - k) * psup:
-                kept.append((c, tuple(_bits(mask)), ext, flags[mask]))
+                exts[mask] = ext
+        # a premise that fails the floors must not hide a larger one
+        for mask in _minimal(exts):
+            kept.append((c, tuple(_bits(mask)), exts[mask], flags[mask]))
     kept.sort(key=_canonical_key)
     return kept
 

@@ -220,13 +220,12 @@ class BinaryContext:
     def restrict(self, obj_indices: Sequence[int],
                  attr_indices: Sequence[int]) -> "BinaryContext":
         """Sub-table on the given row/column indices (labels preserved)."""
-        new_pos = {j: k for k, j in enumerate(attr_indices)}
-        kept = sum(1 << j for j in new_pos)
-        rows = [sum(1 << new_pos[j] for j in _bits(self._rows[i] & kept))
-                for i in obj_indices]
+        rows = _transpose([self._cols[j] for j in attr_indices],
+                          len(self._objects))
         return BinaryContext._from_masks(
             [self._objects[i] for i in obj_indices],
-            [self._attributes[j] for j in attr_indices], rows)
+            [self._attributes[j] for j in attr_indices],
+            [rows[i] for i in obj_indices])
 
 
 # -- parsing --------------------------------------------------------------

@@ -9,9 +9,7 @@ for every chosen vertex the set of edges only it hits (its critical
 edges).  A branch is cut as soon as a chosen vertex loses its last
 critical edge, so every emitted set is minimal by construction, and the
 candidate-set bookkeeping guarantees each minimal transversal is
-emitted exactly once.  The vertices are renumbered once per search by
-branch rank (frequent vertices first), so walking a mask's bits from
-the lowest one is walking them in branch order.
+emitted exactly once.
 
 The search can also carry an extent: every vertex has a mask (in the
 rule pipeline, its attribute's column of objects) and each node holds
@@ -96,23 +94,18 @@ def _transversals(edges: Sequence[int],
 
     ``edges`` are vertex masks; an edge 0 has no transversal and no
     edge gives the empty one.  ``chosen`` lists ``ids[v]`` (``v`` by
-    default) of the transversal's vertices in branch order; it is the
-    search's own list, so the sink copies what it keeps.  The extent is
+    default) of the transversal's vertices; it is the search's own
+    list, so the sink copies what it keeps.  The extent is
     ``start`` AND-ed with the chosen vertices' ``masks`` (0 by default).
     Only transversals with at least ``floor`` extent bits inside
     ``within`` are emitted, in the order they come without a floor.
     """
     if (start & within).bit_count() < floor:
         return 0
-    # bit r of a relabelled mask is the vertex branched on r-th
-    by_vertex = _transpose(edges, max(edges, default=0).bit_length())
-    order = sorted((v for v, ve in enumerate(by_vertex) if ve),
-                   key=lambda v: (-by_vertex[v].bit_count(), v))
-    vert_edges = [by_vertex[v] for v in order]
-    edges = _transpose(vert_edges, len(edges))
-    ids = order if ids is None else [ids[v] for v in order]
-    masks = [0] * len(order) if masks is None else [masks[v] for v in order]
-    n = len(order)
+    n = max(edges, default=0).bit_length()
+    vert_edges = _transpose(edges, n)
+    ids = range(n) if ids is None else ids
+    masks = [0] * n if masks is None else masks
     chosen: list[int] = []
     count = 0
 

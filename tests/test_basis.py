@@ -374,6 +374,31 @@ def test_compute_basis_worker_counts_agree():
     assert remapped
 
 
+def test_column_and_row_order_never_reach_the_output():
+    # The dualizer branches in the reduced table's column order, so a
+    # shuffled table must give the same rules.
+    rng = random.Random(53)
+    dropped_columns = 0
+    for t in range(30):
+        ctx = with_reducible_rows_and_columns(rng)
+        # of duplicate columns the first is kept and its label would
+        # follow the order, so keep one copy of each
+        n = len(ctx.objects)
+        first = {c: j for j, c in reversed(list(enumerate(ctx.column_masks)))}
+        ctx = ctx.restrict(range(n), sorted(first.values()))
+        m = len(ctx.attributes)
+        shuffled = ctx.restrict(rng.sample(range(n), n), rng.sample(range(m), m))
+        for query in (RuleQuery(), RuleQuery(min_support=2),
+                      RuleQuery(basis_kind="minimal-covers")):
+            base = compute_basis(ctx, query)
+            alt = compute_basis(shuffled, query)
+            assert ({rule_row(r) for r in alt.rules}
+                    == {rule_row(r) for r in base.rules}), (t, query)
+            assert alt.sector_counts == base.sector_counts, (t, query)
+        dropped_columns += len(base.reduced.attributes) < m
+    assert dropped_columns > 20
+
+
 def rule_row(r):
     return (r.premise, r.conclusion, r.support, r.premise_support,
             r.confidence, r.in_d_basis)
@@ -635,6 +660,24 @@ def test_leave_one_out_random_confidence_floor():
             assert r.confidence >= Fraction(n - 1, n)
 
 
+def test_leave_one_out_floors_come_before_premise_minimality():
+    # On this 7x10 table the sub-table rules a9 -> a1 (confidence 2/3
+    # on the full table) and, with minimal-covers, a2 a6 -> a7 and
+    # a2 a10 -> a7 (1/2) fail the 6/7 floor; they must not remove the
+    # larger premises of their conclusions that pass it.
+    rng = random.Random(41)
+    for _ in range(21):
+        ctx = random_context(rng, rng.randint(6, 8), rng.randint(8, 10), 0.5)
+    assert (len(ctx.objects), len(ctx.attributes)) == (7, 10)
+    assert (frozenset({"a8", "a9"}), "a1") in {
+        rule_key(r) for r in compute_basis(ctx).rules}
+    for kind in ("d-basis", "minimal-covers"):
+        keys = {rule_key(r)
+                for r in leave_k_out_rules(ctx, 1, RuleQuery(basis_kind=kind))}
+        assert (frozenset({"a8", "a9"}), "a1") in keys, kind
+        assert (frozenset({"a2", "a6", "a10"}), "a7") in keys, kind
+
+
 def test_leave_two_out_runs():
     ctx = golden_context()
     rules = leave_k_out_rules(ctx, 2)
@@ -649,8 +692,9 @@ def metrics(r):
 
 def leave_k_out_reference(ctx, k, query):
     """The leave-k-out scheme from the library's objects: every
-    sub-table's basis, flags OR-ed per rule, a pairwise premise
-    minimality filter per conclusion, and the (n-k)/n floor."""
+    sub-table's basis, flags OR-ed per rule, the support and (n-k)/n
+    floors, then a pairwise premise minimality filter per conclusion
+    over the rules that pass them."""
     n, m = len(ctx.objects), len(ctx.attributes)
     sub_query = RuleQuery(target=query.target, basis_kind=query.basis_kind)
     flags = {}
@@ -660,14 +704,13 @@ def leave_k_out_reference(ctx, k, query):
         for r in compute_basis(sub, sub_query).rules:
             key = rule_key(r)
             flags[key] = flags.get(key, False) or r.in_d_basis
-    out = []
-    for (premise, conclusion), flag in flags.items():
-        if any(c == conclusion and p < premise for p, c in flags):
-            continue
-        r = measure(ctx, premise, conclusion, flag)
-        if (r.support >= query.min_support
-                and r.confidence >= Fraction(n - k, n)):
-            out.append(r)
+    passing = [r for r in (measure(ctx, p, c, flag)
+                           for (p, c), flag in flags.items())
+               if r.support >= query.min_support
+               and r.confidence >= Fraction(n - k, n)]
+    out = [r for r in passing
+           if not any(o.conclusion == r.conclusion and o.premise < r.premise
+                      for o in passing)]
     return canonical_sort(out, ctx)
 
 

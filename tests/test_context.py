@@ -134,20 +134,24 @@ def test_restrict():
 
 def test_restrict_wide_table_cell_by_cell():
     # Past 64 rows and 64 columns, in shuffled order, so every mask spans
-    # several machine words and no index keeps its position.
+    # several machine words and no index keeps its position; then with
+    # no rows and with no columns kept.
     rng = random.Random(17)
     ctx = random_context(rng, 150, 130, 0.5)
     obj_idx = rng.sample(range(150), 100)
     attr_idx = rng.sample(range(130), 90)
-    sub = ctx.restrict(obj_idx, attr_idx)
-    assert sub.objects == tuple(ctx.objects[i] for i in obj_idx)
-    assert sub.attributes == tuple(ctx.attributes[j] for j in attr_idx)
-    for k, i in enumerate(obj_idx):
-        for l, j in enumerate(attr_idx):
-            assert sub.bit(k, l) == ctx.bit(i, j)
-            assert bool(sub.column_masks[l] >> k & 1) == ctx.bit(i, j)
-    assert all(r >> 90 == 0 for r in sub.row_masks)
-    assert all(c >> 100 == 0 for c in sub.column_masks)
+    for objs, attrs in ((obj_idx, attr_idx), ([], attr_idx), (obj_idx, [])):
+        sub = ctx.restrict(objs, attrs)
+        assert sub.objects == tuple(ctx.objects[i] for i in objs)
+        assert sub.attributes == tuple(ctx.attributes[j] for j in attrs)
+        assert len(sub.row_masks) == len(objs)
+        assert len(sub.column_masks) == len(attrs)
+        for k, i in enumerate(objs):
+            for l, j in enumerate(attrs):
+                assert sub.bit(k, l) == ctx.bit(i, j)
+                assert bool(sub.column_masks[l] >> k & 1) == ctx.bit(i, j)
+        assert all(r >> len(attrs) == 0 for r in sub.row_masks)
+        assert all(c >> len(objs) == 0 for c in sub.column_masks)
 
 
 # -- reduction ---------------------------------------------------------------
