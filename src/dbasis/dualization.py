@@ -6,10 +6,11 @@ of MMCS (Murakami & Uno, "Efficient algorithms for dualizing
 large-scale hypergraphs", 2014).  It grows a partial transversal one
 vertex at a time, always branching on a still-uncovered edge, and keeps
 for every chosen vertex the set of edges only it hits (its critical
-edges).  A branch is cut as soon as a chosen vertex loses its last
-critical edge, so every emitted set is minimal by construction, and the
-candidate-set bookkeeping guarantees each minimal transversal is
-emitted exactly once.
+edges).  Each node skips, by one mask, the branch candidates that hit
+every critical edge of some chosen vertex, so every emitted set is
+minimal by construction, and emits a child that covers the last edges
+in place, without recursing.  The candidate-set bookkeeping guarantees
+each minimal transversal is emitted exactly once.
 
 The search can also carry an extent: every vertex has a mask (in the
 rule pipeline, its attribute's column of objects) and each node holds
@@ -99,23 +100,25 @@ def _transversals(edges: Sequence[int],
     ``start`` AND-ed with the chosen vertices' ``masks`` (0 by default).
     Only transversals with at least ``floor`` extent bits inside
     ``within`` are emitted, in the order they come without a floor.
+
+    Per node a ``forbid`` mask skips the children that would leave a
+    chosen vertex redundant, and a child that covers every edge is a leaf.
     """
     if (start & within).bit_count() < floor:
         return 0
-    n = max(edges, default=0).bit_length()
+    chosen: list[int] = []
+    if not edges:
+        emit(chosen, start)
+        return 1
+    n = max(edges).bit_length()
     vert_edges = _transpose(edges, n)
     ids = range(n) if ids is None else ids
     masks = [0] * n if masks is None else masks
-    chosen: list[int] = []
     count = 0
 
     def walk(uncov: int, cand: int, ext: int, crit: list[int]):
-        # crit[k]: the edges only chosen[k] hits
+        # crit[k]: the edges only chosen[k] hits; uncov is never 0 here
         nonlocal count
-        if not uncov:
-            count += 1
-            emit(chosen, ext)
-            return
         # take an uncovered edge with the fewest remaining candidates
         best_c = -1
         best_n = n + 1
@@ -130,22 +133,37 @@ def _transversals(edges: Sequence[int],
                 if k == 0:
                     return  # edge can no longer be hit
         cand &= ~best_c
-        while best_c:
-            low = best_c & -best_c
-            best_c ^= low
+        # forbid: the candidates hitting every critical edge of some
+        # chosen vertex, which adding would leave that vertex redundant
+        forbid = 0
+        for cu in crit:
+            f = best_c
+            while cu and f:
+                low = cu & -cu
+                cu ^= low
+                f &= edges[low.bit_length() - 1]
+            forbid |= f
+        todo = best_c & ~forbid
+        while todo:
+            low = todo & -todo
+            todo ^= low
             v = low.bit_length() - 1
             ne = ext & masks[v]
+            # below the floor no transversal under v reaches it
             if (ne & within).bit_count() >= floor:
                 ve = vert_edges[v]
-                kept = [cu & ~ve for cu in crit]
-                if all(kept):
+                left = uncov & ~ve
+                chosen.append(ids[v])
+                if left:
+                    kept = [cu & ~ve for cu in crit]
                     kept.append(uncov & ve)
-                    chosen.append(ids[v])
-                    walk(uncov & ~ve, cand, ne, kept)
-                    chosen.pop()
-            # below the floor no transversal under v reaches it; either
-            # way v stays available to the later branches
-            cand |= low
+                    # the earlier branch candidates, taken or skipped,
+                    # stay available to the later branches
+                    walk(left, cand | best_c & (low - 1), ne, kept)
+                else:
+                    count += 1
+                    emit(chosen, ne)
+                chosen.pop()
 
     # a chosen vertex keeps a critical edge of its own, so the depth is
     # at most the edge count

@@ -108,33 +108,74 @@ def edge_masks(h):
     return [sum(1 << v for v in e) for e in h.edges]
 
 
+def check_kernel(h, want, rng):
+    """The kernel on h emits each transversal of ``want`` once, carries
+    the extents of random masks, and filters that sequence by a floor."""
+    edges = edge_masks(h)
+    plain = []
+    n = _transversals(edges, lambda xs, ext: plain.append(frozenset(xs)))
+    assert n == len(plain) == len(set(plain))
+    assert set(plain) == want
+    masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
+    start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
+    carried = []
+    _transversals(edges, lambda xs, ext: carried.append((frozenset(xs), ext)),
+                  masks=masks, start=start)
+    assert [t for t, _ in carried] == plain
+    for t, ext in carried:
+        want_ext = start
+        for v in t:
+            want_ext &= masks[v]
+        assert ext == want_ext
+    for floor in range(within.bit_count() + 2):
+        got = []
+        n = _transversals(
+            edges, lambda xs, ext: got.append((frozenset(xs), ext)),
+            masks=masks, start=start, floor=floor, within=within)
+        assert got == [(t, ext) for t, ext in carried
+                       if (ext & within).bit_count() >= floor]
+        assert n == len(got)
+
+
 def test_floor_emits_exactly_the_unpruned_transversals_meeting_it():
     rng = random.Random(29)
     for _ in range(80):
         h = random_hypergraph(rng, 9, 7)
-        edges = edge_masks(h)
-        masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
-        start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
-        plain = []
-        _transversals(edges, lambda xs, ext: plain.append(frozenset(xs)))
-        assert set(plain) == edge_sets(dualize(h))
-        carried = []
-        _transversals(edges, lambda xs, ext: carried.append((frozenset(xs), ext)),
-                      masks=masks, start=start)
-        assert [t for t, _ in carried] == plain
-        for t, ext in carried:
-            want = start
-            for v in t:
-                want &= masks[v]
-            assert ext == want
-        for floor in range(within.bit_count() + 2):
-            got = []
-            n = _transversals(
-                edges, lambda xs, ext: got.append((frozenset(xs), ext)),
-                masks=masks, start=start, floor=floor, within=within)
-            assert got == [(t, ext) for t, ext in carried
-                           if (ext & within).bit_count() >= floor]
-            assert n == len(got)
+        check_kernel(h, edge_sets(dualize(h)), rng)
+
+
+def test_kernel_on_hypergraphs_deep_enough_to_reject_redundant_children():
+    # 10-14 vertices and 12-30 edges of 2-5 vertices: transversals of 4
+    # or more vertices, so chosen vertices lose critical edges deep in
+    # the search and children are rejected there
+    rng = random.Random(31)
+    for _ in range(200):
+        nv = rng.randint(10, 14)
+        h = Hypergraph.from_edges(
+            [rng.sample(range(nv), rng.randint(2, 5))
+             for _ in range(rng.randint(12, 30))], vertex_count=nv)
+        want = edge_sets(berge_dual(h))
+        assert max(map(len, want)) >= 4
+        check_kernel(h, want, rng)
+
+
+def test_single_edge_gives_one_vertex_leaves_at_the_root():
+    seen = []
+
+    def sink(xs, ext):
+        seen.append((list(xs), ext))
+
+    assert _transversals([0b111], sink) == 3
+    assert seen == [([0], 0), ([1], 0), ([2], 0)]
+    seen.clear()
+    masks = [0b001, 0b011, 0b111]
+    assert _transversals([0b111], sink, masks=masks, start=0b111,
+                         floor=2, within=0b111) == 2
+    assert seen == [([1], 0b011), ([2], 0b111)]
+    seen.clear()
+    assert _transversals([0b111], sink, masks=masks, start=0b111,
+                         floor=3, within=0b111) == 1
+    assert seen == [([2], 0b111)]
 
 
 def test_floor_argument_checks():
@@ -148,6 +189,8 @@ def test_floor_argument_checks():
     assert _transversals([], sink, masks=[1, 2], start=3, floor=2,
                          within=7) == 1
     assert seen == [([], 3)]
+    assert _transversals([], sink) == 1
+    assert seen == [([], 3), ([], 0)]
 
 
 def test_kernel_emits_the_given_ids_and_no_transversal_of_an_empty_edge():
@@ -156,6 +199,8 @@ def test_kernel_emits_the_given_ids_and_no_transversal_of_an_empty_edge():
                       ids=[10, 20, 30])
     assert n == 2 and sorted(seen) == [[10, 30], [20]]
     assert _transversals([0b1, 0], lambda xs, ext: seen.append(xs)) == 0
+    assert _transversals([0], lambda xs, ext: seen.append(xs)) == 0
+    assert len(seen) == 2
 
 
 def test_vertex_ids_past_bit_64_and_128():
