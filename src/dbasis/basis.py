@@ -162,6 +162,11 @@ def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
     return [original.attribute_index[a] for a in reduced.attributes]
 
 
+def _remap(mask: int, orig: Sequence[int]) -> int:
+    """``mask`` with each bit j moved to bit ``orig[j]``."""
+    return sum(1 << orig[j] for j in _bits(mask))
+
+
 def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
                   cols: Sequence[int]) -> list[Flagged]:
     """Order pairs as rules upper -> lower; ``orig`` maps the order's
@@ -183,14 +188,12 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
         order, full, _column_map(ctx, metrics), metrics.column_masks))
 
 
-def _sector_rules(orig: Sequence[int], cols: Sequence[int],
-                  down: Sequence[int], everyone: int, min_support: int,
+def _sector_rules(cols: Sequence[int], down: Sequence[int], min_support: int,
                   edges: list[int], bo: int) -> list[Flagged]:
-    """Minimal non-binary covers of column ``bo`` (``edges``, over the
-    reduced columns that ``orig`` maps to ``cols``), streamed out of the
-    dualizer as flagged rules.  The search carries each premise's extent
-    and cuts every branch supported by fewer than ``min_support`` objects.
-    """
+    """Minimal non-binary covers of column ``bo`` (``edges`` over the
+    columns ``cols``) as flagged rules.  The search starts from
+    ``cols[bo]``, which holds every premise's extent since the rules are
+    exact, and cuts each branch below ``min_support`` objects."""
     rules: list[Flagged] = []
 
     # singletons are order pairs, left to the binary part; a full column
@@ -200,8 +203,7 @@ def _sector_rules(orig: Sequence[int], cols: Sequence[int],
             xs = tuple(sorted(premise))
             rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
 
-    _transversals(edges, sink, orig, [cols[j] for j in orig], everyone,
-                  min_support, cols[bo])
+    _transversals(edges, sink, cols, cols[bo], min_support)
     return rules
 
 
@@ -214,8 +216,7 @@ def _down_extents(order: PartialOrder, orig: Sequence[int],
     strictly below the order's element k (0 for unmapped columns)."""
     down = [0] * len(metrics.column_masks)
     for k, below in enumerate(order.below_masks):
-        down[orig[k]] = metrics.extent_mask(
-            sum(1 << orig[j] for j in _bits(below)))
+        down[orig[k]] = metrics.extent_mask(_remap(below, orig))
     return down
 
 
@@ -459,10 +460,11 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
 
     sectors = [bj for bj, b in enumerate(reduced.attributes)
                if query.target in (None, b)]
-    job = partial(_sector_rules, orig, cols, _down_extents(order, orig, ctx),
-                  (1 << len(ctx.objects)) - 1, query.min_support)
-    jobs = [(_sector_edges(reduced, arrows, d, bj), orig[bj])
-            for bj in sectors]
+    job = partial(_sector_rules, cols, _down_extents(order, orig, ctx),
+                  query.min_support)
+    # orig is increasing, so remapping keeps the edges' order
+    jobs = [([_remap(e, orig) for e in _sector_edges(reduced, arrows, d, bj)],
+             orig[bj]) for bj in sectors]
 
     if worker_count == 0:
         worker_count = os.cpu_count() or 1

@@ -12,13 +12,13 @@ minimal by construction, and emits a child that covers the last edges
 in place, without recursing.  The candidate-set bookkeeping guarantees
 each minimal transversal is emitted exactly once.
 
-The search can also carry an extent: every vertex has a mask (in the
-rule pipeline, its attribute's column of objects) and each node holds
-the AND of the chosen vertices' masks.  Since a transversal below a node
-is a superset of the node's chosen set, its extent is a subset of the
-node's, so a count of extent bits is monotone along a branch.  A branch
-whose count has already dropped below a floor is cut: nothing it could
-emit would reach the floor, and the other branches are unaffected.
+The search can also carry an extent: each node holds a start mask
+AND-ed with the chosen vertices' masks (in the rule pipeline, the
+conclusion's column and the premise columns of the original table).
+A transversal below a node is a superset of the node's chosen set, so
+its extent is a subset of the node's and the bit count only falls along
+a branch.  A branch whose count has dropped below a floor is cut: nothing
+it could emit would reach the floor, and the other branches go on.
 
 ``Hypergraph`` and its frozenset edges are the library and CLI edge:
 ``minimize``, ``dualize_streaming`` and ``dualize`` convert to masks,
@@ -88,23 +88,21 @@ def minimize(h: Hypergraph) -> Hypergraph:
 
 def _transversals(edges: Sequence[int],
                   emit: Callable[[list[int], int], object],
-                  ids: Sequence[int] | None = None,
                   masks: Sequence[int] | None = None, start: int = 0,
-                  floor: int = 0, within: int = 0) -> int:
+                  floor: int = 0) -> int:
     """Call ``emit(chosen, extent)`` per minimal transversal; return how many.
 
     ``edges`` are vertex masks; an edge 0 has no transversal and no
-    edge gives the empty one.  ``chosen`` lists ``ids[v]`` (``v`` by
-    default) of the transversal's vertices; it is the search's own
-    list, so the sink copies what it keeps.  The extent is
-    ``start`` AND-ed with the chosen vertices' ``masks`` (0 by default).
-    Only transversals with at least ``floor`` extent bits inside
-    ``within`` are emitted, in the order they come without a floor.
+    edge gives the empty one.  ``chosen`` lists the transversal's
+    vertices; it is the search's own list, so the sink copies what it
+    keeps.  The extent is ``start`` AND-ed with the chosen vertices'
+    ``masks`` (0 by default).  Only transversals with at least ``floor``
+    extent bits are emitted, in the order they come without a floor.
 
     Per node a ``forbid`` mask skips the children that would leave a
     chosen vertex redundant, and a child that covers every edge is a leaf.
     """
-    if (start & within).bit_count() < floor:
+    if start.bit_count() < floor:
         return 0
     chosen: list[int] = []
     if not edges:
@@ -112,7 +110,6 @@ def _transversals(edges: Sequence[int],
         return 1
     n = max(edges).bit_length()
     vert_edges = _transpose(edges, n)
-    ids = range(n) if ids is None else ids
     masks = [0] * n if masks is None else masks
     count = 0
 
@@ -150,10 +147,10 @@ def _transversals(edges: Sequence[int],
             v = low.bit_length() - 1
             ne = ext & masks[v]
             # below the floor no transversal under v reaches it
-            if (ne & within).bit_count() >= floor:
+            if ne.bit_count() >= floor:
                 ve = vert_edges[v]
                 left = uncov & ~ve
-                chosen.append(ids[v])
+                chosen.append(v)
                 if left:
                     kept = [cu & ~ve for cu in crit]
                     kept.append(uncov & ve)
@@ -206,9 +203,14 @@ def dualize(h: Hypergraph) -> Hypergraph:
 
 
 def parse_edge_list(text: str) -> Hypergraph:
-    """One edge per line, space-separated vertex indices."""
+    """One edge per line, space-separated vertex indices.  A text of
+    exactly one empty line is the single empty edge (the dual of no
+    edges, as ``format_edge_list`` writes it); other blank lines fail."""
+    lines = text.splitlines()
+    if lines == [""]:
+        return Hypergraph(0, (frozenset(),))
     edges = []
-    for lineno, ln in enumerate(text.splitlines(), start=1):
+    for lineno, ln in enumerate(lines, start=1):
         toks = ln.split()
         if not toks:
             raise ValueError(f"line {lineno}: empty edge")

@@ -13,7 +13,7 @@ from dbasis import (BinaryContext, EmptySectorError, Implication, RuleQuery,
 from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
                           canonical_sort, format_rule_jsonl, format_rule_text,
                           render_lines)
-from dbasis.oracle import brute_min_covers, replacement_excluded
+from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
 from helpers import (golden_context, random_context, reduced_golden_context,
                      sector_candidates)
@@ -138,13 +138,11 @@ def sector_keys(ctx, arrows, d, b):
     """(premise labels, conclusion label) of the kernel's rules for b,
     measured on ctx itself."""
     labels, cols = ctx.attributes, ctx.column_masks
-    identity = range(len(labels))
-    down = _down_extents(attribute_order(ctx), identity, ctx)
+    down = _down_extents(attribute_order(ctx), range(len(labels)), ctx)
     bj = ctx.attribute_index[b]
     return [(frozenset(labels[j] for j in xs), labels[c])
             for c, xs, _, _ in _sector_rules(
-                identity, cols, down, (1 << len(ctx.objects)) - 1, 0,
-                _sector_edges(ctx, arrows, d, bj), bj)]
+                cols, down, 0, _sector_edges(ctx, arrows, d, bj), bj)]
 
 
 def test_sector_rules_golden():
@@ -240,6 +238,27 @@ def test_public_function_rebuild_matches_the_pipeline():
                         ), (t, query, jsonl)
         removed += len(result.record.attribute_substitutions)
     assert removed >= 60
+
+
+def test_packed_metrics_match_a_recount_on_reducible_tables():
+    # the sector search starts from the conclusion's column, so each
+    # premise extent it emits is right only if every rule is exact
+    rng = random.Random(103)
+    for t in range(30):
+        ctx = with_reducible_rows_and_columns(rng)
+        cols = ctx.column_masks
+        queries = [RuleQuery(min_support=floor, basis_kind=kind)
+                   for kind in ("d-basis", "minimal-covers")
+                   for floor in range(3)]
+        queries.append(RuleQuery(target=rng.choice(ctx.attributes)))
+        for query in queries:
+            result = compute_basis(ctx, query)
+            for c, xs, ext, _ in result.packed_rules:
+                assert ext == ctx.extent_mask(sum(1 << x for x in xs)), t
+                assert ext & ~cols[c] == 0, t
+            for r in result.rules:
+                assert ((r.support, r.premise_support, r.confidence)
+                        == rule_metrics(ctx, r.premise, r.conclusion)), t
 
 
 def test_refine_golden_flags():

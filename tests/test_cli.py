@@ -251,6 +251,18 @@ def test_dualize_subcommand_on_a_deep_transversal(tmp_path, capsys):
     assert capsys.readouterr().out == " ".join(map(str, range(1100))) + "\n"
 
 
+def test_dualize_reads_back_its_own_output_on_no_edges(tmp_path, capsys):
+    # no edges -> the single empty transversal -> no edges again
+    edges = tmp_path / "h.txt"
+    edges.write_text("")
+    assert main(["dualize", str(edges)]) == 0
+    dual = capsys.readouterr().out
+    assert dual == "\n"
+    edges.write_text(dual)
+    assert main(["dualize", str(edges)]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_dualize_rejects_blank_line(tmp_path, capsys):
     edges = tmp_path / "h.txt"
     edges.write_text("0 1\n\n2\n")
