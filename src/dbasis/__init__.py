@@ -1,6 +1,6 @@
 """Implication bases of binary tables via hypergraph dualization."""
 
-from .basis import (BasisResult, EmptySectorError, Implication, RuleQuery,
+from .basis import (BasisResult, BasisStream, EmptySectorError, Implication, RuleQuery,
                     binary_part, compute_basis, evaluation_order,
                     expand_to_original, leave_k_out_rules, measure,
                     ordered_closure, refine_to_d_basis, sector_hypergraph)
@@ -17,6 +17,7 @@ from .oracle import OracleSizeError
 __all__ = [
     "ArrowTable",
     "BasisResult",
+    "BasisStream",
     "BinaryContext",
     "DRelation",
     "EmptySectorError",

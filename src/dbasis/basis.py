@@ -13,11 +13,12 @@ extent (object mask) in the original table, and the D-basis flag (True
 for binary and expansion rules).  Support is ``popcount(ext &
 col[conclusion])`` and premise support ``popcount(ext)``, so every
 metric is counted on the original table, never the reduced one.
-Leave-k-out merges its sub-tables' packed rules by conclusion and
-premise mask and returns packed rules too.  Rules become
-``Implication`` objects with a ``Fraction`` confidence only at the
-library edge; ``render_lines`` formats the output lines of both modes
-straight from the ints.
+``BasisStream`` yields the rules one conclusion at a time, which is the
+output order, and ``compute_basis`` collects them.  Leave-k-out merges
+its sub-tables' packed rules by conclusion and premise mask and returns
+packed rules too.  Rules become ``Implication`` objects with a
+``Fraction`` confidence only at the library edge; ``render_lines``
+formats the output lines of both modes straight from the ints.
 """
 
 from __future__ import annotations
@@ -189,11 +190,13 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
 
 
 def _sector_rules(cols: Sequence[int], down: Sequence[int], min_support: int,
-                  edges: list[int], bo: int) -> list[Flagged]:
-    """Minimal non-binary covers of column ``bo`` (``edges`` over the
-    columns ``cols``) as flagged rules.  The search starts from
-    ``cols[bo]``, which holds every premise's extent since the rules are
-    exact, and cuts each branch below ``min_support`` objects."""
+                  sector: tuple[list[int], int]) -> list[Flagged]:
+    """Minimal non-binary covers of column ``bo`` as flagged rules, where
+    ``sector`` is ``(edges, bo)`` with the edges over the columns
+    ``cols``.  The search starts from ``cols[bo]``, which holds every
+    premise's extent since the rules are exact, and cuts each branch
+    below ``min_support`` objects."""
+    edges, bo = sector
     rules: list[Flagged] = []
 
     # singletons are order pairs, left to the binary part; a full column
@@ -355,12 +358,123 @@ def _canonical_key(rule: Flagged) -> tuple:
     return rule[0], len(rule[1]), rule[1]
 
 
+def _premise_key(rule: Flagged) -> tuple:
+    """Premise size, then premise columns: the canonical order within
+    one conclusion."""
+    return len(rule[1]), rule[1]
+
+
 def canonical_sort(rules: Iterable[Implication],
                    ctx: BinaryContext) -> list[Implication]:
     """Sort by conclusion column, premise size, then premise columns."""
     aidx = ctx.attribute_index
     return sorted(rules, key=lambda r: _canonical_key(
         (aidx[r.conclusion], tuple(sorted(aidx[p] for p in r.premise)))))
+
+
+def _kept(rules: list[Flagged], basis_kind: str) -> list[Flagged]:
+    """The candidates that ``basis_kind`` emits."""
+    if basis_kind == "d-basis":
+        return [r for r in rules if r[3]]
+    return rules
+
+
+def _check_query(ctx: BinaryContext, query: RuleQuery):
+    if query.min_support > len(ctx.objects):
+        raise ValueError("min_support exceeds the number of objects")
+    if query.target is not None and query.target not in ctx.attribute_index:
+        raise KeyError(f"unknown attribute label: {query.target!r}")
+
+
+def _by_conclusion(rules: Iterable[Flagged]) -> dict[int, list[Flagged]]:
+    out: dict[int, list[Flagged]] = {}
+    for r in rules:
+        out.setdefault(r[0], []).append(r)
+    return out
+
+
+class BasisStream:
+    """The pipeline on one table, yielding its rules a conclusion at a time.
+
+    Construction checks the query and does every step before
+    dualization: reduction, the attribute order, arrows, the D-relation
+    and the sector edges.  Iterating yields the candidates (before the
+    basis-kind filter) as packed rules over the original table's
+    columns, one non-empty group per conclusion in column order.  A
+    group holds the binary rules, the sector's covers and the expansion
+    rules that conclude its column, after the target and support
+    filters, sorted by premise size, then premise columns; so the groups
+    concatenate to the canonical order, and a consumer that drops each
+    group holds one group at a time.
+
+    Serially each sector is dualized when its group is due.  With
+    ``worker_count`` > 1 an ordered pool dualizes ahead of the consumer;
+    the iterator owns it, so closing the iterator early terminates it.
+    0 picks the machine's CPU count; a negative count is rejected.
+    ``sector_counts`` maps each dualized sector's attribute to its
+    number of covers, in column order, as the iteration reaches it.
+    """
+
+    def __init__(self, ctx: BinaryContext, query: RuleQuery | None = None, *,
+                 worker_count: int = 1, full_binary: bool = False):
+        query = query or RuleQuery()
+        if worker_count < 0:
+            raise ValueError("worker_count must be non-negative")
+        _check_query(ctx, query)
+        self.original, self.query = ctx, query
+        self.worker_count = worker_count or os.cpu_count() or 1
+        self.reduced, self.record = reduce_context(ctx)
+        self.order = attribute_order(self.reduced)
+        self.arrows = compute_arrows(self.reduced)
+        self.d_relation = compute_d_relation(self.arrows)
+        self.sector_counts: dict[str, int] = {}
+
+        orig = _column_map(self.reduced, ctx)
+        self._binary = _by_conclusion(
+            _binary_rules(self.order, full_binary, orig, ctx.column_masks))
+        self._expansion = _by_conclusion(_expansion_rules(self.record, ctx))
+        self._down = _down_extents(self.order, orig, ctx)
+        # conclusion column -> edges; orig is increasing, so remapping
+        # keeps the edges' order and the sectors come in column order
+        self._sectors = {
+            orig[bj]: [_remap(e, orig) for e in _sector_edges(
+                self.reduced, self.arrows, self.d_relation, bj)]
+            for bj, b in enumerate(self.reduced.attributes)
+            if query.target in (None, b)}
+
+    def __iter__(self) -> Iterator[list[Flagged]]:
+        job = partial(_sector_rules, self.original.column_masks, self._down,
+                      self.query.min_support)
+        jobs = [(edges, c) for c, edges in self._sectors.items()]
+        if self.worker_count > 1 and len(jobs) > 1:
+            procs = min(self.worker_count, len(jobs))
+            # chunks sized as Pool.map sizes them: one sector per task
+            # costs more round trips than it saves in waiting
+            chunk = -(-len(jobs) // (4 * procs))
+            with multiprocessing.Pool(procs) as pool:
+                yield from self._groups(pool.imap(job, jobs, chunk))
+        else:
+            yield from self._groups(map(job, jobs))
+
+    def _groups(self, produced: Iterator[list[Flagged]]
+                ) -> Iterator[list[Flagged]]:
+        cols, floor = self.original.column_masks, self.query.min_support
+        labels = self.original.attributes
+        target = self.query.target
+        for c in (range(len(cols)) if target is None
+                  else [self.original.attribute_index[target]]):
+            group = list(self._binary.get(c, ()))
+            if c in self._sectors:
+                covers = next(produced)
+                self.sector_counts[labels[c]] = len(covers)
+                group += covers
+            group += self._expansion.get(c, ())
+            if floor:
+                group = [r for r in group
+                         if (r[2] & cols[c]).bit_count() >= floor]
+            if group:
+                group.sort(key=_premise_key)
+                yield group
 
 
 @dataclass
@@ -387,9 +501,7 @@ class BasisResult:
 
     @cached_property
     def packed_rules(self) -> list[Flagged]:
-        if self.basis_kind == "d-basis":
-            return [r for r in self.packed if r[3]]
-        return self.packed
+        return _kept(self.packed, self.basis_kind)
 
     @cached_property
     def rules(self) -> list[Implication]:
@@ -411,84 +523,26 @@ class BasisResult:
     def d_basis_count(self) -> int:
         return self.minimal_covers_count - self.refined_away_count
 
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"table: {len(self.original.objects)} objects x "
-            f"{len(self.original.attributes)} attributes",
-            f"reduced: {len(self.reduced.objects)} objects x "
-            f"{len(self.reduced.attributes)} attributes",
-        ]
-        for b, k in self.sector_counts.items():
-            lines.append(f"sector {b}: {k} covers")
-        lines.append(f"minimal covers: {self.minimal_covers_count}"
-                     f" (d-basis {self.d_basis_count},"
-                     f" refined away {self.refined_away_count})")
-        lines.append(f"rules emitted: {len(self.packed_rules)}")
-        return lines
-
-
-def _check_query(ctx: BinaryContext, query: RuleQuery):
-    if query.min_support > len(ctx.objects):
-        raise ValueError("min_support exceeds the number of objects")
-    if query.target is not None and query.target not in ctx.attribute_index:
-        raise KeyError(f"unknown attribute label: {query.target!r}")
-
 
 def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
                   worker_count: int = 1,
                   full_binary: bool = False) -> BasisResult:
-    """Run the whole pipeline on an (arbitrary) table.
+    """Run the whole pipeline on an (arbitrary) table: every group of a
+    ``BasisStream``, kept in one list.
 
     ``worker_count`` parallelizes sector dualization; results are merged
     in a fixed order, so the output is identical for any count.  0
     picks the machine's CPU count; a negative count is rejected.  A
     target in the query restricts dualization to that attribute's sector.
     """
-    query = query or RuleQuery()
-    if worker_count < 0:
-        raise ValueError("worker_count must be non-negative")
-    _check_query(ctx, query)
-
-    reduced, record = reduce_context(ctx)
-    order = attribute_order(reduced)
-    arrows = compute_arrows(reduced)
-    d = compute_d_relation(arrows)
-
-    orig = _column_map(reduced, ctx)
-    cols = ctx.column_masks
-    packed = _binary_rules(order, full_binary, orig, cols)
-
-    sectors = [bj for bj, b in enumerate(reduced.attributes)
-               if query.target in (None, b)]
-    job = partial(_sector_rules, cols, _down_extents(order, orig, ctx),
-                  query.min_support)
-    # orig is increasing, so remapping keeps the edges' order
-    jobs = [([_remap(e, orig) for e in _sector_edges(reduced, arrows, d, bj)],
-             orig[bj]) for bj in sectors]
-
-    if worker_count == 0:
-        worker_count = os.cpu_count() or 1
-    if worker_count > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(worker_count, len(jobs))) as pool:
-            produced = pool.starmap(job, jobs)
-    else:
-        produced = list(itertools.starmap(job, jobs))
-    sector_counts = {reduced.attributes[bj]: len(got)
-                     for bj, got in zip(sectors, produced)}
-    for got in produced:
-        packed += got
-    packed += _expansion_rules(record, ctx)
-    if query.target is not None:
-        target = ctx.attribute_index[query.target]
-        packed = [r for r in packed if r[0] == target]
-    if query.min_support:
-        packed = [r for r in packed
-                  if (r[2] & cols[r[0]]).bit_count() >= query.min_support]
-    packed.sort(key=_canonical_key)
-    return BasisResult(packed=packed, basis_kind=query.basis_kind,
-                       original=ctx, reduced=reduced, record=record,
-                       order=order, arrows=arrows, d_relation=d,
-                       sector_counts=sector_counts)
+    stream = BasisStream(ctx, query, worker_count=worker_count,
+                         full_binary=full_binary)
+    packed = [r for group in stream for r in group]
+    return BasisResult(packed=packed, basis_kind=stream.query.basis_kind,
+                       original=ctx, reduced=stream.reduced,
+                       record=stream.record, order=stream.order,
+                       arrows=stream.arrows, d_relation=stream.d_relation,
+                       sector_counts=stream.sector_counts)
 
 
 def leave_k_out_count(ctx: BinaryContext, k: int, query: RuleQuery) -> int:

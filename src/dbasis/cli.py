@@ -16,10 +16,11 @@ import argparse
 import os
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
-from .basis import (BASIS_KINDS, RuleQuery, compute_basis, leave_k_out_count,
-                    leave_k_out_packed, render_lines)
+from .basis import (BASIS_KINDS, BasisStream, RuleQuery, _kept,
+                    leave_k_out_count, leave_k_out_packed, render_lines)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
@@ -33,7 +34,11 @@ def _read(path: str) -> str:
 
 
 def run(args: argparse.Namespace, out=None, err=None) -> int:
-    """The ``run`` subcommand on parsed arguments."""
+    """The ``run`` subcommand on parsed arguments.
+
+    A plain run prints each conclusion's rules as the pipeline yields
+    them; the summary, tallied from the same groups, follows on stderr.
+    """
     out = out or sys.stdout
     err = err or sys.stderr
     k = args.leave_out
@@ -44,20 +49,35 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     ctx = parse_context(_read(args.table), args.format)
     query = RuleQuery(target=args.target, min_support=args.min_support,
                       basis_kind=args.basis)
+    jsonl = args.output == "jsonl"
+    summary = [f"table: {len(ctx.objects)} objects x "
+               f"{len(ctx.attributes)} attributes"]
     if k:
         print(f"leave-{k}-out: {leave_k_out_count(ctx, k, query)} sub-tables",
               file=err)
         rules = leave_k_out_packed(ctx, k, query)
-        summary = [f"table: {len(ctx.objects)} objects x "
-                   f"{len(ctx.attributes)} attributes",
-                   f"rules emitted: {len(rules)} (leave-{k}-out)"]
+        for line in render_lines(ctx, rules, jsonl):
+            out.write(line + "\n")
+        summary.append(f"rules emitted: {len(rules)} (leave-{k}-out)")
     else:
-        result = compute_basis(ctx, query, worker_count=args.workers,
-                               full_binary=args.full_binary)
-        rules = result.packed_rules
-        summary = result.summary_lines()
-    for line in render_lines(ctx, rules, args.output == "jsonl"):
-        out.write(line + "\n")
+        stream = BasisStream(ctx, query, worker_count=args.workers,
+                             full_binary=args.full_binary)
+        covers = refined = emitted = 0
+        with closing(iter(stream)) as groups:
+            for group in groups:
+                rules = _kept(group, query.basis_kind)
+                for line in render_lines(ctx, rules, jsonl):
+                    out.write(line + "\n")
+                covers += len(group)
+                refined += sum(not r[3] for r in group)
+                emitted += len(rules)
+        summary.append(f"reduced: {len(stream.reduced.objects)} objects x "
+                       f"{len(stream.reduced.attributes)} attributes")
+        summary += [f"sector {b}: {n} covers"
+                    for b, n in stream.sector_counts.items()]
+        summary.append(f"minimal covers: {covers} (d-basis {covers - refined},"
+                       f" refined away {refined})")
+        summary.append(f"rules emitted: {emitted}")
     for line in summary:
         print(line, file=err)
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=err)

@@ -52,8 +52,22 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
 
 
 def _strict_supersets(masks: Sequence[int], holders: Sequence[int]) -> list[int]:
-    """Per distinct mask, the index mask of the others containing it: the
-    AND over its bits b of ``holders[b]``, the masks having bit b."""
+    """Per mask, the index mask of the others containing it; ``holders[b]``
+    is the index mask of the masks having bit b.
+
+    Folding ``holders`` costs one step per set bit, comparing the masks
+    pairwise one step per pair, so the cheaper of the two runs: a few
+    long columns of a tall table are compared, many short rows folded.
+    """
+    if sum(m.bit_count() for m in masks) > len(masks) ** 2:
+        return _supersets_pairwise(masks)
+    return _supersets_by_bits(masks, holders)
+
+
+def _supersets_by_bits(masks: Sequence[int],
+                       holders: Sequence[int]) -> list[int]:
+    """``_strict_supersets`` as the AND over each mask's bits b of
+    ``holders[b]``."""
     everyone = (1 << len(masks)) - 1
     out = []
     for k, mk in enumerate(masks):
@@ -62,6 +76,13 @@ def _strict_supersets(masks: Sequence[int], holders: Sequence[int]) -> list[int]
             fold &= holders[b]
         out.append(fold)
     return out
+
+
+def _supersets_pairwise(masks: Sequence[int]) -> list[int]:
+    """``_strict_supersets`` by testing every pair of masks."""
+    return [sum(1 << i for i, other in enumerate(masks)
+                if i != k and mk & ~other == 0)
+            for k, mk in enumerate(masks)]
 
 
 class BinaryContext:

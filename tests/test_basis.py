@@ -1,15 +1,17 @@
 import itertools
+import multiprocessing
 import random
 from fractions import Fraction
 
 import pytest
 
-from dbasis import (BinaryContext, EmptySectorError, Implication, RuleQuery,
-                    attribute_order, binary_part, compute_arrows,
-                    compute_basis, compute_d_relation, dualize_streaming,
-                    evaluation_order, expand_to_original, leave_k_out_rules,
-                    measure, object_order, ordered_closure, reduce_context,
-                    refine_to_d_basis, sector_hypergraph)
+import dbasis.basis
+from dbasis import (BasisStream, BinaryContext, EmptySectorError,
+                    Implication, RuleQuery, attribute_order, binary_part,
+                    compute_arrows, compute_basis, compute_d_relation,
+                    dualize_streaming, evaluation_order, expand_to_original,
+                    leave_k_out_rules, measure, object_order, ordered_closure,
+                    reduce_context, refine_to_d_basis, sector_hypergraph)
 from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
                           canonical_sort, format_rule_jsonl, format_rule_text,
                           render_lines)
@@ -56,6 +58,14 @@ def test_rule_query_validation():
         RuleQuery(basis_kind="fancy")
     with pytest.raises(ValueError):
         RuleQuery(min_support=-1)
+    # checked against the table when a stream is built, before it yields
+    ctx = golden_context()
+    with pytest.raises(KeyError):
+        BasisStream(ctx, RuleQuery(target="zz"))
+    with pytest.raises(ValueError):
+        BasisStream(ctx, RuleQuery(min_support=7))
+    with pytest.raises(ValueError):
+        BasisStream(ctx, worker_count=-1)
 
 
 def test_sector_hypergraph_golden():
@@ -142,7 +152,7 @@ def sector_keys(ctx, arrows, d, b):
     bj = ctx.attribute_index[b]
     return [(frozenset(labels[j] for j in xs), labels[c])
             for c, xs, _, _ in _sector_rules(
-                cols, down, 0, _sector_edges(ctx, arrows, d, bj), bj)]
+                cols, down, 0, (_sector_edges(ctx, arrows, d, bj), bj))]
 
 
 def test_sector_rules_golden():
@@ -391,6 +401,65 @@ def test_compute_basis_worker_counts_agree():
                 assert alt.packed_rules == base.packed_rules
                 assert alt.sector_counts == base.sector_counts
     assert remapped
+
+
+def test_stream_groups_concatenate_to_compute_basis():
+    # the tables of test_compute_basis_worker_counts_agree
+    rng = random.Random(47)
+    tables = [golden_context()] + [with_reducible_rows_and_columns(rng)
+                                   for _ in range(3)]
+    for ctx in tables:
+        runs = [(RuleQuery(), False), (RuleQuery(min_support=2), False),
+                (RuleQuery(target=rng.choice(ctx.attributes)), False),
+                (RuleQuery(basis_kind="minimal-covers"), False),
+                (RuleQuery(), True)]
+        for query, full in runs:
+            base = compute_basis(ctx, query, full_binary=full)
+            for workers in (1, 2, 3):
+                stream = BasisStream(ctx, query, worker_count=workers,
+                                     full_binary=full)
+                groups = list(stream)
+                assert [r for g in groups for r in g] == base.packed
+                conclusions = [g[0][0] for g in groups]
+                assert conclusions == sorted(set(conclusions))
+                for g in groups:
+                    assert all(r[0] == g[0][0] for r in g)
+                    assert g == sorted(g, key=lambda r: (len(r[1]), r[1]))
+                assert stream.sector_counts == base.sector_counts
+
+
+def test_stream_dualizes_no_sector_ahead_of_its_group(monkeypatch):
+    calls = []
+    real = dbasis.basis._sector_rules
+
+    def counted(cols, down, min_support, sector):
+        calls.append(sector[1])
+        return real(cols, down, min_support, sector)
+
+    monkeypatch.setattr(dbasis.basis, "_sector_rules", counted)
+    rng = random.Random(61)
+    for ctx in [golden_context()] + [with_reducible_rows_and_columns(rng)
+                                     for _ in range(5)]:
+        calls.clear()
+        stream = BasisStream(ctx)
+        sectors = sorted(ctx.attribute_index[b]
+                         for b in stream.reduced.attributes)
+        for g in stream:
+            # every sector of a column up to this one, and none past it
+            assert calls == [c for c in sectors if c <= g[0][0]]
+        assert calls == sectors
+
+
+def test_closing_a_stream_early_terminates_its_pool():
+    before = set(multiprocessing.active_children())
+    groups = iter(BasisStream(golden_context(), worker_count=2))
+    next(groups)
+    workers = set(multiprocessing.active_children()) - before
+    assert len(workers) == 2
+    groups.close()
+    for w in workers:
+        w.join(timeout=30)
+        assert not w.is_alive()
 
 
 def test_column_and_row_order_never_reach_the_output():

@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import random
+import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,8 +86,13 @@ def test_run_target(golden_file, capsys):
 
 
 def test_run_unknown_target(golden_file, capsys):
-    assert main(["run", golden_file, "--target", "zz"]) == 3
-    assert "zz" in capsys.readouterr().err
+    # rejected before the first rule prints
+    for workers in ("1", "2"):
+        assert main(["run", golden_file, "--target", "zz",
+                     "--workers", workers]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "zz" in captured.err
 
 
 def test_run_min_support(golden_file, capsys):
@@ -95,7 +103,12 @@ def test_run_min_support(golden_file, capsys):
 
 
 def test_run_min_support_too_large(golden_file, capsys):
-    assert main(["run", golden_file, "--min-support", "7"]) == 2
+    for workers in ("1", "2"):
+        assert main(["run", golden_file, "--min-support", "7",
+                     "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "min_support exceeds the number of objects" in captured.err
 
 
 def test_run_leave_out(golden_file, capsys):
@@ -320,24 +333,42 @@ def test_console_entry_point(golden_file):
     assert "elapsed:" in proc.stderr
 
 
-def test_reader_closing_early_is_not_an_error(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_reader_closing_early_is_not_an_error(tmp_path, workers):
     # about 240 kB of rules, far more than a pipe buffers, so the writer
-    # is still printing when the reader hangs up (``dbasis run t | head``)
+    # is still printing when the reader hangs up (``dbasis run t | head``);
+    # stderr reaches end of file only once no pool worker holds it open
     path = write_csv(random_context(random.Random(5), 14, 28, 0.4),
                      tmp_path / "big.csv")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dbasis", "run", path],
+        [sys.executable, "-m", "dbasis", "run", path, "--workers", workers],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline().endswith(b"]\n")
         proc.stdout.close()
         code = proc.wait(timeout=120)
+        err = read_to_eof(proc.stderr, timeout=60)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+        proc.stderr.close()
+    assert err == b""
     assert code == 0
+
+
+def read_to_eof(pipe, timeout):
+    """What ``pipe`` gives until every writer has closed it; fails after
+    ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    chunks = []
+    while True:
+        left = deadline - time.monotonic()
+        assert left > 0 and select.select([pipe], [], [], left)[0], \
+            "a writer still holds the pipe open"
+        chunk = os.read(pipe.fileno(), 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 RUN_OPTIONS = [

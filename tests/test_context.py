@@ -4,6 +4,8 @@ import pytest
 
 from dbasis import (BinaryContext, ParseError, ReductionRecord, parse_context,
                     parse_dense_csv, parse_fimi, reduce_context)
+from dbasis.context import (_strict_supersets, _supersets_by_bits,
+                            _supersets_pairwise, _transpose)
 from dbasis.oracle import enumerate_concepts
 
 from helpers import GOLDEN_CSV, golden_context, random_context
@@ -237,6 +239,35 @@ def _wide_reducible_context(rng):
     return BinaryContext([f"o{i}" for i in range(120)],
                          [f"a{j}" for j in range(110)],
                          [[row[j] for j in perm] for row in base])
+
+
+def test_strict_supersets_by_bits_and_pairwise_agree():
+    # _strict_supersets runs whichever form is cheaper, so both must give
+    # the same masks, for empty and equal masks too
+    rng = random.Random(29)
+    pairwise_picked = 0
+    for t in range(400):
+        width = rng.randint(0, 40)
+        n = rng.randint(0, 12)
+        masks = []
+        for _ in range(n):  # some subsets and supersets of earlier masks
+            base = rng.choice(masks) if masks else 0
+            masks.append(rng.choice([base & rng.getrandbits(width),
+                                     base | rng.getrandbits(width),
+                                     rng.getrandbits(width)]))
+        if masks:
+            masks[rng.randrange(n)] = 0
+            masks.append(rng.choice(masks))
+            masks.insert(rng.randrange(len(masks)), 0)
+        holders = _transpose(masks, width)
+        want = [sum(1 << i for i, other in enumerate(masks)
+                    if i != k and mk | other == other)
+                for k, mk in enumerate(masks)]
+        assert _supersets_by_bits(masks, holders) == want, t
+        assert _supersets_pairwise(masks) == want, t
+        assert _strict_supersets(masks, holders) == want, t
+        pairwise_picked += sum(m.bit_count() for m in masks) > len(masks) ** 2
+    assert 40 < pairwise_picked < 360
 
 
 def test_reduce_golden():
