@@ -3,8 +3,9 @@
 The pipeline: reduce the table, compute arrows and the D-relation, then
 for each attribute b dualize the sector hypergraph whose minimal
 transversals are exactly the minimal non-binary premises implying b.
-The dualizer's sink flags each transversal that survives down-replacement
-(the D-basis proper), and removed attributes are translated back in.
+Each transversal is flagged as the dualizer yields it, by whether it
+survives down-replacement (the D-basis proper), and removed attributes
+are translated back in.
 
 Inside the pipeline a rule is a packed tuple ``(conclusion, premise,
 ext, in_d_basis)``: the conclusion's column index in the original table,
@@ -201,12 +202,10 @@ def _sector_rules(cols: Sequence[int], down: Sequence[int], min_support: int,
 
     # singletons are order pairs, left to the binary part; a full column
     # has no up arrow, hence no edge, and gets the empty premise
-    def sink(premise: list[int], ext: int):
+    for premise, ext in _transversals(edges, cols, cols[bo], min_support):
         if len(premise) != 1:
             xs = tuple(sorted(premise))
             rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
-
-    _transversals(edges, sink, cols, cols[bo], min_support)
     return rules
 
 

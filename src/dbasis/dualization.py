@@ -3,14 +3,15 @@
 One kernel, ``_transversals``, does every search.  It takes the edges
 as int masks over vertex ids and is a depth-first search in the style
 of MMCS (Murakami & Uno, "Efficient algorithms for dualizing
-large-scale hypergraphs", 2014).  It grows a partial transversal one
-vertex at a time, always branching on a still-uncovered edge, and keeps
-for every chosen vertex the set of edges only it hits (its critical
-edges).  Each node skips, by one mask, the branch candidates that hit
-every critical edge of some chosen vertex, so every emitted set is
-minimal by construction, and emits a child that covers the last edges
-in place, without recursing.  The candidate-set bookkeeping guarantees
-each minimal transversal is emitted exactly once.
+large-scale hypergraphs", 2014), run as a generator over an explicit
+stack of plain node tuples, so no recursion limit bounds its depth.
+It grows a partial transversal one vertex at a time, always branching
+on a still-uncovered edge, and keeps for every chosen vertex the set of
+edges only it hits (its critical edges).  Each node skips, by one mask,
+the branch candidates that hit every critical edge of some chosen
+vertex, so every yielded set is minimal by construction, and yields a
+child that covers the last edges in place, without pushing it.  The
+candidate-set bookkeeping yields each minimal transversal exactly once.
 
 The search can also carry an extent: each node holds a start mask
 AND-ed with the chosen vertices' masks (in the rule pipeline, the
@@ -18,7 +19,7 @@ conclusion's column and the premise columns of the original table).
 A transversal below a node is a superset of the node's chosen set, so
 its extent is a subset of the node's and the bit count only falls along
 a branch.  A branch whose count has dropped below a floor is cut: nothing
-it could emit would reach the floor, and the other branches go on.
+it could yield would reach the floor, and the other branches go on.
 
 ``Hypergraph`` and its frozenset edges are the library and CLI edge:
 ``minimize``, ``dualize_streaming`` and ``dualize`` convert to masks,
@@ -28,9 +29,8 @@ on its sector masks, and convert back.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import _bits, _transpose
 
@@ -61,10 +61,15 @@ class Hypergraph:
         return cls(vertex_count, es)
 
 
-def _edge_masks(h: Hypergraph, op: str) -> list[int]:
+def _edge_masks(h: Hypergraph, op: str) -> tuple[list[int], list[int]]:
+    """``ids`` and the edges as masks whose bit k is vertex ``ids[k]``:
+    the vertices that occur, in order, so a mask is as wide as their
+    count, not the largest id."""
     if any(not e for e in h.edges):
         raise ValueError(f"{op}: empty edge (its dual would be empty)")
-    return [sum(1 << v for v in e) for e in h.edges]
+    ids = sorted(set().union(*h.edges))
+    rank = {v: k for k, v in enumerate(ids)}
+    return ids, [sum(1 << rank[v] for v in e) for e in h.edges]
 
 
 def _minimal(edges: Iterable[int]) -> list[int]:
@@ -82,40 +87,39 @@ def _minimal(edges: Iterable[int]) -> list[int]:
 
 def minimize(h: Hypergraph) -> Hypergraph:
     """Drop duplicate and containing edges; sort by size then vertex order."""
+    ids, edges = _edge_masks(h, "minimize")
     return Hypergraph(h.vertex_count, tuple(
-        frozenset(_bits(e)) for e in _minimal(_edge_masks(h, "minimize"))))
+        frozenset(ids[k] for k in _bits(e)) for e in _minimal(edges)))
 
 
-def _transversals(edges: Sequence[int],
-                  emit: Callable[[list[int], int], object],
-                  masks: Sequence[int] | None = None, start: int = 0,
-                  floor: int = 0) -> int:
-    """Call ``emit(chosen, extent)`` per minimal transversal; return how many.
+def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
+                  start: int = 0, floor: int = 0
+                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(chosen, extent)`` per minimal transversal.
 
     ``edges`` are vertex masks; an edge 0 has no transversal and no
-    edge gives the empty one.  ``chosen`` lists the transversal's
-    vertices; it is the search's own list, so the sink copies what it
-    keeps.  The extent is ``start`` AND-ed with the chosen vertices'
-    ``masks`` (0 by default).  Only transversals with at least ``floor``
-    extent bits are emitted, in the order they come without a floor.
+    edge gives the empty one.  ``chosen`` is a tuple of the
+    transversal's vertices, in the order the search took them.  The
+    extent is ``start`` AND-ed with the chosen vertices' ``masks`` (0 by
+    default).  Only transversals with at least ``floor`` extent bits are
+    yielded, in the order they come without a floor.
 
     Per node a ``forbid`` mask skips the children that would leave a
     chosen vertex redundant, and a child that covers every edge is a leaf.
     """
     if start.bit_count() < floor:
-        return 0
-    chosen: list[int] = []
+        return
     if not edges:
-        emit(chosen, start)
-        return 1
+        yield (), start
+        return
     n = max(edges).bit_length()
     vert_edges = _transpose(edges, n)
     masks = [0] * n if masks is None else masks
-    count = 0
-
-    def walk(uncov: int, cand: int, ext: int, crit: list[int]):
-        # crit[k]: the edges only chosen[k] hits; uncov is never 0 here
-        nonlocal count
+    # a node: chosen, uncovered edges (never 0), candidates, extent, and
+    # crit[k], the edges only chosen[k] hits
+    stack = [((), (1 << len(edges)) - 1, (1 << n) - 1, start, [])]
+    while stack:
+        chosen, uncov, cand, ext, crit = stack.pop()
         # take an uncovered edge with the fewest remaining candidates
         best_c = -1
         best_n = n + 1
@@ -128,7 +132,9 @@ def _transversals(edges: Sequence[int],
             if k < best_n:
                 best_n, best_c = k, c
                 if k == 0:
-                    return  # edge can no longer be hit
+                    break
+        if best_n == 0:
+            continue  # that edge can no longer be hit
         cand &= ~best_c
         # forbid: the candidates hitting every critical edge of some
         # chosen vertex, which adding would leave that vertex redundant
@@ -150,40 +156,32 @@ def _transversals(edges: Sequence[int],
             if ne.bit_count() >= floor:
                 ve = vert_edges[v]
                 left = uncov & ~ve
-                chosen.append(v)
                 if left:
                     kept = [cu & ~ve for cu in crit]
                     kept.append(uncov & ve)
                     # the earlier branch candidates, taken or skipped,
                     # stay available to the later branches
-                    walk(left, cand | best_c & (low - 1), ne, kept)
+                    stack.append((chosen + (v,), left,
+                                  cand | best_c & (low - 1), ne, kept))
                 else:
-                    count += 1
-                    emit(chosen, ne)
-                chosen.pop()
-
-    # a chosen vertex keeps a critical edge of its own, so the depth is
-    # at most the edge count
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + len(edges))
-    try:
-        walk((1 << len(edges)) - 1, (1 << n) - 1, start, [])
-    finally:
-        sys.setrecursionlimit(limit)
-    return count
+                    yield chosen + (v,), ne
 
 
 def dualize_streaming(h: Hypergraph,
                       sink: Callable[[frozenset[int]], object]) -> int:
     """Feed every minimal transversal to ``sink``; return how many.
 
-    Memory stays proportional to the recursion depth; nothing is
-    materialized here, so the consumer decides what to keep.  An
-    exception raised by the sink aborts the enumeration and propagates.
-    Emission order is deterministic (a fixed DFS order, not sorted).
+    Nothing is materialized here beyond the search's stack of pending
+    nodes, so the consumer decides what to keep.  An exception raised
+    by the sink aborts the enumeration and propagates.  Emission order
+    is deterministic (a fixed depth-first order, not sorted).
     """
-    edges = _minimal(_edge_masks(h, "dualize_streaming"))
-    return _transversals(edges, lambda xs, _ext: sink(frozenset(xs)))
+    ids, edges = _edge_masks(h, "dualize_streaming")
+    count = 0
+    for chosen, _ext in _transversals(_minimal(edges)):
+        sink(frozenset(ids[k] for k in chosen))
+        count += 1
+    return count
 
 
 def dualize(h: Hypergraph) -> Hypergraph:

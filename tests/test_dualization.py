@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from dbasis import Hypergraph, dualize, dualize_streaming, format_edge_list, minimize, parse_edge_list
+from dbasis.context import _transpose
 from dbasis.dualization import _transversals
 from dbasis.oracle import berge_dual, brute_dual
 
@@ -109,32 +110,29 @@ def edge_masks(h):
 
 
 def check_kernel(h, want, rng):
-    """The kernel on h emits each transversal of ``want`` once, carries
-    the extents of random masks, and filters that sequence by a floor."""
+    """The kernel on h yields each transversal of ``want`` once, carries
+    the extents of random masks, and filters that sequence by a floor.
+    The yielded tuples are kept as they are, so a search that reused or
+    changed one after yielding it would fail here."""
     edges = edge_masks(h)
-    plain = []
-    n = _transversals(edges, lambda xs, ext: plain.append(frozenset(xs)))
-    assert n == len(plain) == len(set(plain))
-    assert set(plain) == want
+    plain = [xs for xs, ext in _transversals(edges)]
+    assert all(type(xs) is tuple for xs in plain)
+    assert len(plain) == len(set(map(frozenset, plain)))
+    assert set(map(frozenset, plain)) == want
     masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
     start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
-    carried = []
-    _transversals(edges, lambda xs, ext: carried.append((frozenset(xs), ext)),
-                  masks=masks, start=start)
-    assert [t for t, _ in carried] == plain
-    for t, ext in carried:
+    carried = list(_transversals(edges, masks=masks, start=start))
+    assert [xs for xs, _ in carried] == plain
+    for xs, ext in carried:
         want_ext = start
-        for v in t:
+        for v in xs:
             want_ext &= masks[v]
         assert ext == want_ext
     for floor in range(within.bit_count() + 2):
-        got = []
-        n = _transversals(
-            edges, lambda xs, ext: got.append((frozenset(xs), ext)),
-            masks=masks, start=start & within, floor=floor)
-        assert got == [(t, ext & within) for t, ext in carried
+        got = list(_transversals(edges, masks=masks, start=start & within,
+                                 floor=floor))
+        assert got == [(xs, ext & within) for xs, ext in carried
                        if (ext & within).bit_count() >= floor]
-        assert n == len(got)
 
 
 def test_floor_emits_exactly_the_unpruned_transversals_meeting_it():
@@ -160,44 +158,25 @@ def test_kernel_on_hypergraphs_deep_enough_to_reject_redundant_children():
 
 
 def test_single_edge_gives_one_vertex_leaves_at_the_root():
-    seen = []
-
-    def sink(xs, ext):
-        seen.append((list(xs), ext))
-
-    assert _transversals([0b111], sink) == 3
-    assert seen == [([0], 0), ([1], 0), ([2], 0)]
-    seen.clear()
+    assert list(_transversals([0b111])) == [((0,), 0), ((1,), 0), ((2,), 0)]
     masks = [0b001, 0b011, 0b111]
-    assert _transversals([0b111], sink, masks=masks, start=0b111,
-                         floor=2) == 2
-    assert seen == [([1], 0b011), ([2], 0b111)]
-    seen.clear()
-    assert _transversals([0b111], sink, masks=masks, start=0b111,
-                         floor=3) == 1
-    assert seen == [([2], 0b111)]
+    assert list(_transversals([0b111], masks=masks, start=0b111,
+                              floor=2)) == [((1,), 0b011), ((2,), 0b111)]
+    assert list(_transversals([0b111], masks=masks, start=0b111,
+                              floor=3)) == [((2,), 0b111)]
 
 
 def test_floor_argument_checks():
-    seen = []
-
-    def sink(xs, ext):
-        seen.append((list(xs), ext))
-
-    assert _transversals([], sink, masks=[1, 2], start=3, floor=3) == 0
-    assert _transversals([], sink, masks=[1, 2], start=3, floor=2) == 1
-    assert seen == [([], 3)]
-    assert _transversals([], sink) == 1
-    assert seen == [([], 3), ([], 0)]
+    assert list(_transversals([], masks=[1, 2], start=3, floor=3)) == []
+    assert list(_transversals([], masks=[1, 2], start=3, floor=2)) == [((), 3)]
+    assert list(_transversals([])) == [((), 0)]
 
 
 def test_kernel_emits_vertex_ids_and_no_transversal_of_an_empty_edge():
-    seen = []
-    n = _transversals([0b011, 0b110], lambda xs, ext: seen.append(sorted(xs)))
-    assert n == 2 and sorted(seen) == [[0, 2], [1]]
-    assert _transversals([0b1, 0], lambda xs, ext: seen.append(xs)) == 0
-    assert _transversals([0], lambda xs, ext: seen.append(xs)) == 0
-    assert len(seen) == 2
+    got = [sorted(xs) for xs, _ in _transversals([0b011, 0b110])]
+    assert sorted(got) == [[0, 2], [1]]
+    assert list(_transversals([0b1, 0])) == []
+    assert list(_transversals([0])) == []
 
 
 def test_vertex_ids_past_bit_64_and_128():
@@ -208,6 +187,8 @@ def test_vertex_ids_past_bit_64_and_128():
         edges.append(frozenset({rng.randint(129, 200)}))
         h = Hypergraph.from_edges(edges)
         want = edge_sets(berge_dual(h))
+        # the kernel on the ids as given; the library renumbers them
+        assert {frozenset(xs) for xs, _ in _transversals(edge_masks(h))} == want
         assert edge_sets(dualize(h)) == want
         seen = []
         assert dualize_streaming(h, seen.append) == len(want)
@@ -215,12 +196,32 @@ def test_vertex_ids_past_bit_64_and_128():
         assert any(max(t) >= 128 for t in seen)
 
 
-def test_deep_transversal_does_not_exhaust_the_stack():
+def test_deep_transversal_does_not_exhaust_the_stack(monkeypatch):
+    # the search's depth is its own stack's, so it never needs the
+    # process-wide recursion limit raised (a setting other threads share)
+    def refuse(limit):
+        raise AssertionError("the dualizer changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     h = Hypergraph.from_edges([[v] for v in range(1100)])
     assert dualize(h).edges == (frozenset(range(1100)),)
-    limit = sys.getrecursionlimit()
     assert dualize_streaming(h, lambda t: None) == 1
-    assert sys.getrecursionlimit() == limit
+
+
+def test_masks_are_as_wide_as_the_vertices_that_occur(monkeypatch):
+    widths = []
+
+    def transpose(masks, width):
+        widths.append(width)
+        return _transpose(masks, width)
+
+    monkeypatch.setattr("dbasis.dualization._transpose", transpose)
+    h = parse_edge_list("999983\n1 2\n1 999983 7\n")
+    assert format_edge_list(minimize(h)) == "999983\n1 2\n"
+    assert format_edge_list(dualize(h)) == "1 999983\n2 999983\n"
+    # the search transposes over the four vertices that occur, not a
+    # million bits
+    assert widths == [4]
 
 
 def test_edge_list_round_trip():
