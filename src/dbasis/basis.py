@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -428,10 +427,13 @@ class BasisStream:
         self.d_relation = compute_d_relation(self.arrows)
         self.sector_counts: dict[str, int] = {}
 
-        orig = _column_map(self.reduced, ctx)
-        self._binary = _by_conclusion(
-            _binary_rules(self.order, full_binary, orig, ctx.column_masks))
-        self._expansion = _by_conclusion(_expansion_rules(self.record, ctx))
+        orig, cols = _column_map(self.reduced, ctx), ctx.column_masks
+        # the binary and expansion rules that meet the floor; the sector
+        # covers meet it by construction
+        self._binary_and_expansion = _by_conclusion(
+            r for r in _binary_rules(self.order, full_binary, orig, cols)
+            + _expansion_rules(self.record, ctx)
+            if (r[2] & cols[r[0]]).bit_count() >= query.min_support)
         self._down = _down_extents(self.order, orig, ctx)
         # conclusion column -> edges; orig is increasing, so remapping
         # keeps the edges' order and the sectors come in column order
@@ -450,6 +452,7 @@ class BasisStream:
             # chunks sized as Pool.map sizes them: one sector per task
             # costs more round trips than it saves in waiting
             chunk = -(-len(jobs) // (4 * procs))
+            import multiprocessing  # here, so a serial run never loads it
             with multiprocessing.Pool(procs) as pool:
                 yield from self._groups(pool.imap(job, jobs, chunk))
         else:
@@ -457,20 +460,15 @@ class BasisStream:
 
     def _groups(self, produced: Iterator[list[Flagged]]
                 ) -> Iterator[list[Flagged]]:
-        cols, floor = self.original.column_masks, self.query.min_support
         labels = self.original.attributes
         target = self.query.target
-        for c in (range(len(cols)) if target is None
+        for c in (range(len(labels)) if target is None
                   else [self.original.attribute_index[target]]):
-            group = list(self._binary.get(c, ()))
+            group = list(self._binary_and_expansion.get(c, ()))
             if c in self._sectors:
                 covers = next(produced)
                 self.sector_counts[labels[c]] = len(covers)
                 group += covers
-            group += self._expansion.get(c, ())
-            if floor:
-                group = [r for r in group
-                         if (r[2] & cols[c]).bit_count() >= floor]
             if group:
                 group.sort(key=_premise_key)
                 yield group

@@ -85,11 +85,20 @@ def _supersets_pairwise(masks: Sequence[int]) -> list[int]:
             for k, mk in enumerate(masks)]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class BinaryContext:
-    """Immutable 0/1 table with labelled objects and attributes."""
+    """Immutable 0/1 table with labelled objects and attributes.
 
-    __slots__ = ("_objects", "_attributes", "_obj_index", "_attr_index",
-                 "_rows", "_cols")
+    Equality and the hash go by the labels and the rows; the columns and
+    the label indexes are derived from them.
+    """
+
+    objects: tuple[str, ...]
+    attributes: tuple[str, ...]
+    row_masks: tuple[int, ...]
+    column_masks: tuple[int, ...] = field(compare=False)
+    object_index: dict[str, int] = field(compare=False)
+    attribute_index: dict[str, int] = field(compare=False)
 
     def __init__(self, objects: Sequence[str], attributes: Sequence[str],
                  rows: Iterable[Iterable[int]]):
@@ -127,100 +136,65 @@ class BinaryContext:
             raise ParseError("duplicate object labels")
         if len(set(attributes)) != len(attributes):
             raise ParseError("duplicate attribute labels")
-        self._objects = objects
-        self._attributes = attributes
-        self._obj_index = {g: i for i, g in enumerate(objects)}
-        self._attr_index = {a: j for j, a in enumerate(attributes)}
-        self._rows = row_masks
-        self._cols = tuple(_transpose(row_masks, len(attributes)))
-
-    # -- basic accessors ------------------------------------------------
-
-    @property
-    def objects(self) -> tuple[str, ...]:
-        return self._objects
-
-    @property
-    def attributes(self) -> tuple[str, ...]:
-        return self._attributes
-
-    @property
-    def object_index(self) -> dict[str, int]:
-        return self._obj_index
-
-    @property
-    def attribute_index(self) -> dict[str, int]:
-        return self._attr_index
-
-    @property
-    def row_masks(self) -> tuple[int, ...]:
-        return self._rows
-
-    @property
-    def column_masks(self) -> tuple[int, ...]:
-        return self._cols
+        set_field = object.__setattr__  # the fields are frozen
+        set_field(self, "objects", objects)
+        set_field(self, "attributes", attributes)
+        set_field(self, "row_masks", row_masks)
+        set_field(self, "column_masks",
+                  tuple(_transpose(row_masks, len(attributes))))
+        set_field(self, "object_index", {g: i for i, g in enumerate(objects)})
+        set_field(self, "attribute_index",
+                  {a: j for j, a in enumerate(attributes)})
 
     def bit(self, i: int, j: int) -> bool:
-        return bool(self._rows[i] >> j & 1)
+        return bool(self.row_masks[i] >> j & 1)
 
     def has(self, obj: str, attr: str) -> bool:
-        return self.bit(self._obj_index[obj], self._attr_index[attr])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryContext):
-            return NotImplemented
-        return (self._objects == other._objects
-                and self._attributes == other._attributes
-                and self._rows == other._rows)
-
-    def __hash__(self):
-        return hash((self._objects, self._attributes, self._rows))
+        return self.bit(self.object_index[obj], self.attribute_index[attr])
 
     def __repr__(self):
-        return f"BinaryContext({len(self._objects)}x{len(self._attributes)})"
+        return f"BinaryContext({len(self.objects)}x{len(self.attributes)})"
 
     # -- mask-level helpers ----------------------------------------------
 
-    def _attr_mask(self, labels: Iterable[str]) -> int:
+    @staticmethod
+    def _mask(index: dict[str, int], labels: Iterable[str], kind: str) -> int:
         mask = 0
-        for a in labels:
+        for x in labels:
             try:
-                mask |= 1 << self._attr_index[a]
+                mask |= 1 << index[x]
             except KeyError:
-                raise KeyError(f"unknown attribute label: {a!r}") from None
+                raise KeyError(f"unknown {kind} label: {x!r}") from None
         return mask
 
+    def _attr_mask(self, labels: Iterable[str]) -> int:
+        return self._mask(self.attribute_index, labels, "attribute")
+
     def _obj_mask(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for g in labels:
-            try:
-                mask |= 1 << self._obj_index[g]
-            except KeyError:
-                raise KeyError(f"unknown object label: {g!r}") from None
-        return mask
+        return self._mask(self.object_index, labels, "object")
 
     def extent_mask(self, attr_mask: int) -> int:
         """Objects having every attribute in ``attr_mask``."""
-        out = (1 << len(self._objects)) - 1
+        out = (1 << len(self.objects)) - 1
         for j in _bits(attr_mask):
-            out &= self._cols[j]
+            out &= self.column_masks[j]
         return out
 
     def intent_mask(self, obj_mask: int) -> int:
         """Attributes shared by every object in ``obj_mask``."""
-        out = (1 << len(self._attributes)) - 1
+        out = (1 << len(self.attributes)) - 1
         for i in _bits(obj_mask):
-            out &= self._rows[i]
+            out &= self.row_masks[i]
         return out
 
     def closure_mask(self, attr_mask: int) -> int:
         return self.intent_mask(self.extent_mask(attr_mask))
 
     def _attr_labels(self, mask: int) -> set[str]:
-        return {self._attributes[j] for j in _bits(mask)}
+        return {self.attributes[j] for j in _bits(mask)}
 
     def _obj_labels(self, mask: int) -> set[str]:
-        return {self._objects[i] for i in _bits(mask)}
+        return {self.objects[i] for i in _bits(mask)}
 
     # -- support functions -------------------------------------------------
 
@@ -241,11 +215,11 @@ class BinaryContext:
     def restrict(self, obj_indices: Sequence[int],
                  attr_indices: Sequence[int]) -> "BinaryContext":
         """Sub-table on the given row/column indices (labels preserved)."""
-        rows = _transpose([self._cols[j] for j in attr_indices],
-                          len(self._objects))
+        rows = _transpose([self.column_masks[j] for j in attr_indices],
+                          len(self.objects))
         return BinaryContext._from_masks(
-            [self._objects[i] for i in obj_indices],
-            [self._attributes[j] for j in attr_indices],
+            [self.objects[i] for i in obj_indices],
+            [self.attributes[j] for j in attr_indices],
             [rows[i] for i in obj_indices])
 
 

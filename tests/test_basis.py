@@ -1,6 +1,9 @@
 import itertools
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,8 @@ from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
                           render_lines)
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
-from helpers import (golden_context, random_context, reduced_golden_context,
-                     sector_candidates)
+from helpers import (GOLDEN_CSV, golden_context, random_context,
+                     reduced_golden_context, sector_candidates)
 
 
 def rule_key(r):
@@ -462,6 +465,21 @@ def test_closing_a_stream_early_terminates_its_pool():
         assert not w.is_alive()
 
 
+def test_a_serial_run_never_imports_multiprocessing():
+    # a fresh interpreter, since this module imports it itself
+    script = ("import sys, dbasis\n"
+              f"ctx = dbasis.parse_context({GOLDEN_CSV!r}, 'dense-csv')\n"
+              "assert dbasis.compute_basis(ctx).rules\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] == 'multiprocessing'))\n")
+    src = os.path.dirname(os.path.dirname(dbasis.basis.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_column_and_row_order_never_reach_the_output():
     # The dualizer branches in the reduced table's column order, so a
     # shuffled table must give the same rules.
@@ -507,6 +525,12 @@ def test_support_floor_prunes_without_changing_the_output():
                 assert ([rule_row(r) for r in getattr(got, attr)]
                         == [rule_row(r) for r in getattr(base, attr)
                             if r.support >= k]), (t, k, attr)
+            # the sector covers meet the floor without a later filter
+            stream = BasisStream(ctx, RuleQuery(min_support=k))
+            cols = ctx.column_masks
+            for c, edges in stream._sectors.items():
+                for r in _sector_rules(cols, stream._down, k, (edges, c)):
+                    assert (r[2] & cols[c]).bit_count() >= k, (t, k, r)
             if t % 8 == 0:
                 parallel = compute_basis(ctx, RuleQuery(min_support=k),
                                          worker_count=2)

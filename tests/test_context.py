@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from dbasis.context import (_strict_supersets, _supersets_by_bits,
                             _supersets_pairwise, _transpose)
 from dbasis.oracle import enumerate_concepts
 
-from helpers import GOLDEN_CSV, golden_context, random_context
+from helpers import (GOLDEN_CSV, GOLDEN_OBJECTS, GOLDEN_ROWS, golden_context,
+                     random_context)
 
 
 def test_parse_dense_csv_golden():
@@ -91,6 +93,48 @@ def test_parse_context_strips_one_byte_order_mark():
     assert parse_context(bom + GOLDEN_CSV, "dense-csv") == golden_context()
     assert parse_context((bom + GOLDEN_CSV).encode(), "dense-csv") == golden_context()
     assert parse_context(bom + "1 2\n", "fimi") == parse_context("1 2\n", "fimi")
+
+
+def test_every_constructor_gives_an_equal_record():
+    ctx = golden_context()
+    everything = range(len(ctx.objects)), range(len(ctx.attributes))
+    for other in (BinaryContext._from_masks(ctx.objects, ctx.attributes,
+                                            ctx.row_masks),
+                  parse_context(GOLDEN_CSV, "dense-csv"),
+                  ctx.restrict(*everything)):
+        assert other == ctx and hash(other) == hash(ctx)
+        assert other.column_masks == ctx.column_masks
+    # the same rows as FIMI transactions, whose items are the columns 1..7
+    items = [str(j) for j in range(1, len(ctx.attributes) + 1)]
+    fimi = "".join(" ".join(a for a, bit in zip(items, row) if bit) + "\n"
+                   for row in GOLDEN_ROWS)
+    by_fimi = parse_context(fimi, "fimi")
+    same = BinaryContext(GOLDEN_OBJECTS, items, GOLDEN_ROWS)
+    assert by_fimi == same and hash(by_fimi) == hash(same)
+    assert by_fimi.row_masks == ctx.row_masks and by_fimi != ctx
+    # equality goes by the labels and every row
+    assert ctx != ctx.restrict(range(len(ctx.objects) - 1), everything[1])
+    assert ctx != BinaryContext._from_masks(
+        ctx.objects, ctx.attributes, ctx.row_masks[:-1] + (0,))
+    assert ctx != (ctx.objects, ctx.attributes, ctx.row_masks)
+
+
+def test_pickle_round_trip_keeps_every_field():
+    ctx = golden_context()
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(ctx, protocol))
+        assert back == ctx and hash(back) == hash(ctx)
+        assert back.column_masks == ctx.column_masks
+        assert back.object_index == ctx.object_index
+        assert back.attribute_index == ctx.attribute_index
+
+
+def test_fields_are_read_only():
+    ctx = golden_context()
+    for name in ("objects", "column_masks"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, ())
+    assert ctx == golden_context() and ctx.column_masks
 
 
 def test_supports_golden():
