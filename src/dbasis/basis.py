@@ -16,8 +16,8 @@ col[conclusion])`` and premise support ``popcount(ext)``, so every
 metric is counted on the original table, never the reduced one.
 ``BasisStream`` yields the rules one conclusion at a time, which is the
 output order, and ``compute_basis`` collects them.  Leave-k-out merges
-its sub-tables' packed rules by conclusion and premise mask and returns
-packed rules too.  Rules become ``Implication`` objects with a
+its sub-tables' streams and yields packed groups in that order too, with
+no global sort.  Rules become ``Implication`` objects with a
 ``Fraction`` confidence only at the library edge; ``render_lines``
 formats the output lines of both modes straight from the ints.
 """
@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .context import BinaryContext, ReductionRecord, _bits, reduce_context
 from .dualization import Hypergraph, _minimal, _transversals
-from .lattice import (ArrowTable, DRelation, PartialOrder, attribute_order,
-                      compute_arrows, compute_d_relation)
+from .lattice import (ArrowTable, DRelation, PartialOrder, _sector_mask,
+                      attribute_order, compute_arrows)
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
@@ -125,16 +125,17 @@ class RuleQuery:
 # -- sector extraction -------------------------------------------------------
 
 
-def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
+def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, sector: int,
                   bj: int) -> list[int]:
-    """Column bj's dualization instance as minimal masks over ctx's columns.
+    """Column bj's dualization instance (``sector`` is its sector mask)
+    as minimal masks over ctx's columns.
 
     For every object with an up arrow at bj the edge is the part of the
     sector NOT held by it.  A transversal therefore meets every such
     object's complement, which is exactly the condition for the premise
     to imply bj's attribute.
     """
-    sector, rows = d.sector_masks[bj], ctx.row_masks
+    rows = ctx.row_masks
     return _minimal([sector & ~rows[i] for i in _bits(arrows.up_cols[bj])])
 
 
@@ -153,7 +154,7 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
         raise EmptySectorError(f"attribute {b!r} has no nontrivial covers")
     vid = {c: k for k, c in enumerate(sector)}
     edges = [frozenset(vid[c] for c in _bits(e))
-             for e in _sector_edges(ctx, arrows, d, bj)]
+             for e in _sector_edges(ctx, arrows, d.sector_masks[bj], bj)]
     return (Hypergraph(len(sector), tuple(edges)),
             tuple(ctx.attributes[c] for c in sector))
 
@@ -351,11 +352,6 @@ def evaluation_order(rules: Iterable[Implication],
 # -- the assembled pipeline -----------------------------------------------------
 
 
-def _canonical_key(rule: Flagged) -> tuple:
-    """Conclusion column, premise size, then premise columns."""
-    return rule[0], len(rule[1]), rule[1]
-
-
 def _premise_key(rule: Flagged) -> tuple:
     """Premise size, then premise columns: the canonical order within
     one conclusion."""
@@ -366,8 +362,8 @@ def canonical_sort(rules: Iterable[Implication],
                    ctx: BinaryContext) -> list[Implication]:
     """Sort by conclusion column, premise size, then premise columns."""
     aidx = ctx.attribute_index
-    return sorted(rules, key=lambda r: _canonical_key(
-        (aidx[r.conclusion], tuple(sorted(aidx[p] for p in r.premise)))))
+    return sorted(rules, key=lambda r: (aidx[r.conclusion], len(r.premise),
+                                        sorted(aidx[p] for p in r.premise)))
 
 
 def _kept(rules: list[Flagged], basis_kind: str) -> list[Flagged]:
@@ -394,16 +390,15 @@ def _by_conclusion(rules: Iterable[Flagged]) -> dict[int, list[Flagged]]:
 class BasisStream:
     """The pipeline on one table, yielding its rules a conclusion at a time.
 
-    Construction checks the query and does every step before
-    dualization: reduction, the attribute order, arrows, the D-relation
-    and the sector edges.  Iterating yields the candidates (before the
-    basis-kind filter) as packed rules over the original table's
-    columns, one non-empty group per conclusion in column order.  A
-    group holds the binary rules, the sector's covers and the expansion
-    rules that conclude its column, after the target and support
-    filters, sorted by premise size, then premise columns; so the groups
-    concatenate to the canonical order, and a consumer that drops each
-    group holds one group at a time.
+    Construction checks the query and does every step before dualization:
+    reduction, the attribute order, arrows, and the sector edges of the
+    columns it dualizes.  Iterating yields the candidates (before the
+    basis-kind filter) as packed rules over the original table's columns,
+    one non-empty group per conclusion in column order.  A group holds the
+    binary rules, the sector's covers and the expansion rules that conclude
+    its column, after the target and support filters, sorted by premise
+    size, then premise columns; so the groups concatenate to the canonical
+    order, and a consumer that drops each group holds one group at a time.
 
     Serially each sector is dualized when its group is due.  With
     ``worker_count`` > 1 an ordered pool dualizes ahead of the consumer;
@@ -424,7 +419,6 @@ class BasisStream:
         self.reduced, self.record = reduce_context(ctx)
         self.order = attribute_order(self.reduced)
         self.arrows = compute_arrows(self.reduced)
-        self.d_relation = compute_d_relation(self.arrows)
         self.sector_counts: dict[str, int] = {}
 
         orig, cols = _column_map(self.reduced, ctx), ctx.column_masks
@@ -439,7 +433,7 @@ class BasisStream:
         # keeps the edges' order and the sectors come in column order
         self._sectors = {
             orig[bj]: [_remap(e, orig) for e in _sector_edges(
-                self.reduced, self.arrows, self.d_relation, bj)]
+                self.reduced, self.arrows, _sector_mask(self.arrows, bj), bj)]
             for bj, b in enumerate(self.reduced.attributes)
             if query.target in (None, b)}
 
@@ -493,7 +487,6 @@ class BasisResult:
     record: ReductionRecord
     order: PartialOrder
     arrows: ArrowTable
-    d_relation: DRelation
     sector_counts: dict[str, int]
 
     @cached_property
@@ -507,18 +500,6 @@ class BasisResult:
     @cached_property
     def candidates(self) -> list[Implication]:
         return _implications(self.original, self.packed)
-
-    @property
-    def minimal_covers_count(self) -> int:
-        return len(self.packed)
-
-    @property
-    def refined_away_count(self) -> int:
-        return sum(not r[3] for r in self.packed)
-
-    @property
-    def d_basis_count(self) -> int:
-        return self.minimal_covers_count - self.refined_away_count
 
 
 def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
@@ -538,7 +519,7 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     return BasisResult(packed=packed, basis_kind=stream.query.basis_kind,
                        original=ctx, reduced=stream.reduced,
                        record=stream.record, order=stream.order,
-                       arrows=stream.arrows, d_relation=stream.d_relation,
+                       arrows=stream.arrows,
                        sector_counts=stream.sector_counts)
 
 
@@ -554,36 +535,42 @@ def leave_k_out_count(ctx: BinaryContext, k: int, query: RuleQuery) -> int:
     return math.comb(n, k)
 
 
-def leave_k_out_packed(ctx: BinaryContext, k: int,
-                       query: RuleQuery | None = None) -> list[Flagged]:
-    """High-confidence rules via the row-subset scheme, packed.
+def leave_k_out_groups(ctx: BinaryContext, k: int,
+                       query: RuleQuery | None = None
+                       ) -> Iterator[list[Flagged]]:
+    """High-confidence rules via the row-subset scheme, packed and
+    grouped by conclusion in column order; a group may be empty.
 
     Runs the exact pipeline on every table missing k rows, merges the
-    rules (a rule is in the D-basis when some sub-table says so),
+    kept rules (a rule is in the D-basis when some sub-table says so),
     re-measures them on the full table, keeps those with confidence
     >= (n-k)/n and the support floor, and of these the premise-minimal
-    ones per conclusion.  k = 0 is exactly the plain pipeline.
+    ones per conclusion, by premise size, then premise columns.  Every
+    sub-table runs before the first group.  k = 0 is exactly the plain
+    pipeline's groups after the basis-kind filter.
     """
     query = query or RuleQuery()
     leave_k_out_count(ctx, k, query)
     if k == 0:
-        return compute_basis(ctx, query).packed_rules
+        for group in BasisStream(ctx, query):
+            yield _kept(group, query.basis_kind)
+        return
     sub_query = RuleQuery(target=query.target, basis_kind=query.basis_kind)
     n = len(ctx.objects)
-    all_attrs = list(range(len(ctx.attributes)))
+    cols = ctx.column_masks
     # sub-tables keep every column, so their indices are ctx's;
     # conclusion -> premise mask -> flag
     merged: dict[int, dict[int, bool]] = {}
     for dropped in itertools.combinations(range(n), k):
-        keep = [i for i in range(n) if i not in dropped]
-        sub = ctx.restrict(keep, all_attrs)
-        for c, xs, _, flag in compute_basis(sub, sub_query).packed_rules:
-            flags = merged.setdefault(c, {})
-            mask = sum(1 << x for x in xs)
-            flags[mask] = flags.get(mask, False) or flag
-    cols = ctx.column_masks
-    kept: list[Flagged] = []
-    for c, flags in merged.items():
+        sub = ctx.restrict([i for i in range(n) if i not in dropped],
+                           range(len(cols)))
+        for group in BasisStream(sub, sub_query):
+            flags = merged.setdefault(group[0][0], {})
+            for _, xs, _, flag in _kept(group, query.basis_kind):
+                mask = sum(1 << x for x in xs)
+                flags[mask] = flags.get(mask, False) or flag
+    for c in range(len(cols)):
+        flags = merged.pop(c, {})
         exts = {}
         for mask in flags:
             ext = ctx.extent_mask(mask)
@@ -592,16 +579,15 @@ def leave_k_out_packed(ctx: BinaryContext, k: int,
             if sup >= query.min_support and sup * n >= (n - k) * psup:
                 exts[mask] = ext
         # a premise that fails the floors must not hide a larger one
-        for mask in _minimal(exts):
-            kept.append((c, tuple(_bits(mask)), exts[mask], flags[mask]))
-    kept.sort(key=_canonical_key)
-    return kept
+        yield [(c, tuple(_bits(mask)), exts[mask], flags[mask])
+               for mask in _minimal(exts)]
 
 
 def leave_k_out_rules(ctx: BinaryContext, k: int,
                       query: RuleQuery | None = None) -> list[Implication]:
-    """``leave_k_out_packed`` as ``Implication`` objects."""
-    return _implications(ctx, leave_k_out_packed(ctx, k, query))
+    """``leave_k_out_groups``, flattened into ``Implication`` objects."""
+    return _implications(ctx, itertools.chain.from_iterable(
+        leave_k_out_groups(ctx, k, query)))
 
 
 # -- rendering -----------------------------------------------------------------

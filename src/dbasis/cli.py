@@ -20,7 +20,7 @@ from contextlib import closing
 from pathlib import Path
 
 from .basis import (BASIS_KINDS, BasisStream, RuleQuery, _kept,
-                    leave_k_out_count, leave_k_out_packed, render_lines)
+                    leave_k_out_count, leave_k_out_groups, render_lines)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
@@ -36,7 +36,7 @@ def _read(path: str) -> str:
 def run(args: argparse.Namespace, out=None, err=None) -> int:
     """The ``run`` subcommand on parsed arguments.
 
-    A plain run prints each conclusion's rules as the pipeline yields
+    Both modes print each conclusion's rules as their generator yields
     them; the summary, tallied from the same groups, follows on stderr.
     """
     out = out or sys.stdout
@@ -55,22 +55,24 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     if k:
         print(f"leave-{k}-out: {leave_k_out_count(ctx, k, query)} sub-tables",
               file=err)
-        rules = leave_k_out_packed(ctx, k, query)
-        for line in render_lines(ctx, rules, jsonl):
-            out.write(line + "\n")
-        summary.append(f"rules emitted: {len(rules)} (leave-{k}-out)")
+        groups = leave_k_out_groups(ctx, k, query)
     else:
         stream = BasisStream(ctx, query, worker_count=args.workers,
                              full_binary=args.full_binary)
-        covers = refined = emitted = 0
-        with closing(iter(stream)) as groups:
-            for group in groups:
-                rules = _kept(group, query.basis_kind)
-                for line in render_lines(ctx, rules, jsonl):
-                    out.write(line + "\n")
-                covers += len(group)
-                refined += sum(not r[3] for r in group)
-                emitted += len(rules)
+        groups = iter(stream)
+    covers = refined = emitted = 0
+    with closing(groups):
+        for group in groups:
+            # a no-op on leave-K-out groups, which hold kept rules only
+            rules = _kept(group, query.basis_kind)
+            for line in render_lines(ctx, rules, jsonl):
+                out.write(line + "\n")
+            covers += len(group)
+            refined += sum(not r[3] for r in group)
+            emitted += len(rules)
+    if k:
+        summary.append(f"rules emitted: {emitted} (leave-{k}-out)")
+    else:
         summary.append(f"reduced: {len(stream.reduced.objects)} objects x "
                        f"{len(stream.reduced.attributes)} attributes")
         summary += [f"sector {b}: {n} covers"
@@ -152,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # rules, tables and transversals go out as UTF-8 whatever the locale
+    # says, as ``_read`` takes them in
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

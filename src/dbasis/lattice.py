@@ -142,6 +142,13 @@ class DRelation:
                 for b, mask in zip(self.attributes, self.sector_masks)}
 
 
+def _sector_mask(arrows: ArrowTable, b: int) -> int:
+    """Column b's sector as a column mask (see ``compute_d_relation``)."""
+    up = arrows.up_cols[b]
+    return sum(1 << c for c, down in enumerate(arrows.down_cols)
+               if up & down) & ~(1 << b)
+
+
 def compute_d_relation(arrows: ArrowTable) -> DRelation:
     """b D c iff some object has an up arrow for b and a down arrow for c.
 
@@ -149,8 +156,7 @@ def compute_d_relation(arrows: ArrowTable) -> DRelation:
     sector even when b carries both arrows at the same object.
     """
     return DRelation(arrows.attributes, tuple(
-        sum(1 << c for c, down in enumerate(arrows.down_cols) if up & down)
-        & ~(1 << b) for b, up in enumerate(arrows.up_cols)))
+        _sector_mask(arrows, b) for b in range(len(arrows.up_cols))))
 
 
 def render_arrow_table(ctx: BinaryContext, arrows: ArrowTable) -> str:

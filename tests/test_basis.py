@@ -155,7 +155,8 @@ def sector_keys(ctx, arrows, d, b):
     bj = ctx.attribute_index[b]
     return [(frozenset(labels[j] for j in xs), labels[c])
             for c, xs, _, _ in _sector_rules(
-                cols, down, 0, (_sector_edges(ctx, arrows, d, bj), bj))]
+                cols, down, 0,
+                (_sector_edges(ctx, arrows, d.sector_masks[bj], bj), bj))]
 
 
 def test_sector_rules_golden():
@@ -347,9 +348,9 @@ def test_compute_basis_golden_exact():
         (["c1"], "u", 5, "1"),
         (["v"], "u", 1, "1"),
     ]
-    assert result.minimal_covers_count == 17
-    assert result.d_basis_count == 16
-    assert result.refined_away_count == 1
+    assert len(result.packed) == 17
+    assert sum(r[3] for r in result.packed) == 16
+    assert sum(not r[3] for r in result.packed) == 1
     assert result.sector_counts == {"b": 3, "a1": 1, "a2": 1, "c1": 0, "c2": 0}
 
 

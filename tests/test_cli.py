@@ -333,15 +333,45 @@ def test_console_entry_point(golden_file):
     assert "elapsed:" in proc.stderr
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_reader_closing_early_is_not_an_error(tmp_path, workers):
-    # about 240 kB of rules, far more than a pipe buffers, so the writer
-    # is still printing when the reader hangs up (``dbasis run t | head``);
-    # stderr reaches end of file only once no pool worker holds it open
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # under the POSIX locale without UTF-8 mode Python's stdout is ASCII;
+    # labels and arrow glyphs must still go out as the UTF-8 bytes of a
+    # UTF-8 locale
+    path = tmp_path / "u.csv"
+    path.write_bytes("α,é,c\no1,1,0,0\no2,0,1,0\no3,0,0,1\no4,1,1,0\n"
+                     .encode("utf-8"))
+    posix = {"LC_ALL": "POSIX", "LANG": "POSIX", "PYTHONCOERCECLOCALE": "0",
+             "PYTHONUTF8": "0"}
+
+    def stdout(args, env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbasis", *args, str(path)],
+            capture_output=True, env={**os.environ, **env}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    for args, glyph in ((["run"], "é c -> α"),
+                        (["run", "--output", "jsonl"], '"α"'),
+                        (["arrows"], "↕"), (["concepts"], "{α é}")):
+        want = stdout(args, {"PYTHONUTF8": "1"})
+        assert glyph.encode("utf-8") in want
+        assert stdout(args, posix) == want, args
+
+
+@pytest.mark.parametrize("args,want_err", [
+    (["--workers", "1"], b""),
+    (["--workers", "2"], b""),
+    (["--leave-out", "1"], b"leave-1-out: 14 sub-tables\n"),
+], ids=["1", "2", "leave-out"])
+def test_reader_closing_early_is_not_an_error(tmp_path, args, want_err):
+    # about 270 kB of rules in either mode, far more than a pipe buffers,
+    # so the writer is still printing when the reader hangs up (``dbasis
+    # run t | head``); stderr reaches end of file only once no pool
+    # worker holds it open
     path = write_csv(random_context(random.Random(5), 14, 28, 0.4),
                      tmp_path / "big.csv")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "dbasis", "run", path, "--workers", workers],
+        [sys.executable, "-m", "dbasis", "run", path, *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline().endswith(b"]\n")
@@ -352,7 +382,7 @@ def test_reader_closing_early_is_not_an_error(tmp_path, workers):
         proc.kill()
         proc.wait()
         proc.stderr.close()
-    assert err == b""
+    assert err == want_err
     assert code == 0
 
 
