@@ -17,9 +17,10 @@ metric is counted on the original table, never the reduced one.
 ``BasisStream`` yields the rules one conclusion at a time, which is the
 output order, and ``compute_basis`` collects them.  Leave-k-out merges
 its sub-tables' streams and yields packed groups in that order too, with
-no global sort.  Rules become ``Implication`` objects with a
-``Fraction`` confidence only at the library edge; ``render_lines``
-formats the output lines of both modes straight from the ints.
+no global sort.  Rules become ``Implication`` objects only at the
+library edge, and an object builds its ``Fraction`` confidence from its
+two counts only when a caller reads it; ``render_lines`` formats the
+output lines of both modes straight from the ints.
 """
 
 from __future__ import annotations
@@ -61,12 +62,17 @@ class Implication:
     conclusion: str
     support: int = field(default=0, compare=False)
     premise_support: int = field(default=0, compare=False)
-    confidence: Fraction = field(default=Fraction(1), compare=False)
     in_d_basis: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         if self.conclusion in self.premise:
             raise ValueError("conclusion cannot appear in the premise")
+
+    @property
+    def confidence(self) -> Fraction:
+        """support / premise_support, derived and never stored; 1 when
+        no row has the premise."""
+        return Fraction(*_ratio(self.support, self.premise_support))
 
 
 def _ratio(sup: int, psup: int) -> tuple[int, int]:
@@ -77,19 +83,12 @@ def _ratio(sup: int, psup: int) -> tuple[int, int]:
     return sup // g, psup // g
 
 
-def _implication(premise: frozenset[str], conclusion: str, sup: int,
-                 psup: int, in_d_basis: bool) -> Implication:
-    return Implication(premise, conclusion, support=sup, premise_support=psup,
-                       confidence=Fraction(*_ratio(sup, psup)),
-                       in_d_basis=in_d_basis)
-
-
 def _implications(ctx: BinaryContext,
                   rules: Iterable[Flagged]) -> list[Implication]:
     """Rules (packed tuples over ``ctx``'s columns) as objects."""
     labels, cols = ctx.attributes, ctx.column_masks
-    return [_implication(frozenset(labels[j] for j in xs), labels[c],
-                         (ext & cols[c]).bit_count(), ext.bit_count(), flag)
+    return [Implication(frozenset(labels[j] for j in xs), labels[c],
+                        (ext & cols[c]).bit_count(), ext.bit_count(), flag)
             for c, xs, ext, flag in rules]
 
 
@@ -103,8 +102,8 @@ def measure(ctx: BinaryContext, premise: Iterable[str], conclusion: str,
     premise = frozenset(premise)
     ext = ctx.extent_mask(ctx._attr_mask(premise))
     col = ctx.column_masks[ctx.attribute_index[conclusion]]
-    return _implication(premise, conclusion, (ext & col).bit_count(),
-                        ext.bit_count(), in_d_basis)
+    return Implication(premise, conclusion, (ext & col).bit_count(),
+                       ext.bit_count(), in_d_basis)
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,15 @@ def _sector_rules(cols: Sequence[int], down: Sequence[int], min_support: int,
     edges, bo = sector
     rules: list[Flagged] = []
 
-    # singletons are order pairs, left to the binary part; a full column
-    # has no up arrow, hence no edge, and gets the empty premise
+    # no transversal is a singleton {c}: every up-arrow row of b, and so
+    # every row lacking b, would lack c, so col(c) ⊊ col(b); yet c is in
+    # the sector only for an object with an up arrow at b (so lacking b)
+    # and a down arrow at c (so in every column strictly above col(c),
+    # col(b) among them).  A full column has no up arrow, hence no edge,
+    # and gets the empty premise.
     for premise, ext in _transversals(edges, cols, cols[bo], min_support):
-        if len(premise) != 1:
-            xs = tuple(sorted(premise))
-            rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
+        xs = tuple(sorted(premise))
+        rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
     return rules
 
 
@@ -224,14 +226,12 @@ def _down_extents(order: PartialOrder, orig: Sequence[int],
 
 def _in_d_basis(cols: Sequence[int], down: Sequence[int], b: int,
                 xs: Sequence[int]) -> bool:
-    """Does xs -> b survive down-replacement?  Premises shorter than 2 do.
+    """Does xs -> b survive down-replacement?  The empty premise does.
 
     b is in the closure of a set iff the set's extent lies in b's column,
     and the extent of X - x + below(x) is ext(X - x) & down[x].  Reduction
     keeps the lattice, so both tables give the same closures.
     """
-    if len(xs) < 2:
-        return True
     # suf[i]: extent of xs[i:]; pre: extent of xs[:i]; -1 is every object
     # (down[x] is a finite mask, so the test below stays finite)
     suf = [-1] * (len(xs) + 1)
@@ -258,9 +258,10 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
         raise ValueError("order is not the attribute order of ctx")
     cols, aidx = ctx.column_masks, ctx.attribute_index
     down = _down_extents(order, range(len(cols)), ctx)
-    return [_implication(r.premise, r.conclusion, r.support, r.premise_support,
-                         _in_d_basis(cols, down, aidx[r.conclusion],
-                                     [aidx[x] for x in r.premise]))
+    return [Implication(r.premise, r.conclusion, r.support, r.premise_support,
+                        len(r.premise) < 2 or _in_d_basis(
+                            cols, down, aidx[r.conclusion],
+                            [aidx[x] for x in r.premise]))
             for r in rules]
 
 

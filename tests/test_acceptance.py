@@ -17,7 +17,7 @@ from dbasis import (attribute_order, binary_part, compute_arrows,
                     object_order, ordered_closure, reduce_context,
                     refine_to_d_basis, render_arrow_table, sector_hypergraph,
                     up_objects)
-from dbasis.basis import format_rule_text
+from dbasis.basis import format_rule_text, render_lines
 from dbasis.oracle import brute_dual, brute_min_covers, replacement_excluded
 
 import conftest
@@ -54,11 +54,12 @@ def text_lines(ctx, rules):
     return [format_rule_text(r, aidx) for r in rules]
 
 
-def stream_digest(ctx, rules):
+def stream_digest(ctx, packed_rules):
+    """sha256 of the text output lines, rendered straight from the packed
+    rules (the same lines ``format_rule_text`` gives for their objects)."""
     h = hashlib.sha256()
-    aidx = ctx.attribute_index
-    for r in rules:
-        h.update((format_rule_text(r, aidx) + "\n").encode())
+    for line in render_lines(ctx, packed_rules):
+        h.update((line + "\n").encode())
     return h.hexdigest()
 
 
@@ -308,8 +309,8 @@ def serial_run(key):
     started = time.perf_counter()
     result = compute_basis(ctx, worker_count=1)
     elapsed = time.perf_counter() - started
-    digest = stream_digest(ctx, result.rules)
-    _SERIAL_RUNS[key] = (digest, len(result.rules), elapsed)
+    digest = stream_digest(ctx, result.packed_rules)
+    _SERIAL_RUNS[key] = (digest, len(result.packed_rules), elapsed)
     del result
     return _SERIAL_RUNS[key]
 
@@ -333,8 +334,8 @@ def test_criterion_8_worker_determinism():
             ctx = perf_table(key)
             serial_digest, n_serial, _ = serial_run(key)
             result = compute_basis(ctx, worker_count=8)
-            parallel_digest = stream_digest(ctx, result.rules)
-            n_parallel = len(result.rules)
+            parallel_digest = stream_digest(ctx, result.packed_rules)
+            n_parallel = len(result.packed_rules)
             del result
             assert n_serial == n_parallel, key
             assert serial_digest == parallel_digest, key

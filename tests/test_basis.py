@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
 from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
                           canonical_sort, format_rule_jsonl, format_rule_text,
                           render_lines)
+from dbasis.dualization import _transversals
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
 from helpers import (GOLDEN_CSV, golden_context, random_context,
@@ -38,6 +40,15 @@ def test_implication_equality_ignores_metrics():
     b = Implication(frozenset({"x"}), "y", support=5, in_d_basis=False)
     assert a == b
     assert len({a, b}) == 1
+
+
+def test_implication_confidence_follows_its_counts():
+    r = Implication(frozenset({"x"}), "y", support=1, premise_support=2)
+    assert r.confidence == Fraction(1, 2)
+    vacuous = Implication(frozenset({"x"}), "y", support=0, premise_support=0)
+    assert vacuous.confidence == Fraction(1)
+    assert dataclasses.replace(r, support=2).confidence == Fraction(1)
+    assert dataclasses.replace(r, premise_support=4).confidence == Fraction(1, 4)
 
 
 def test_measure_golden():
@@ -184,6 +195,39 @@ def test_sector_rules_full_column_gives_empty_premise():
     assert sector_keys(ctx2, arrows, d, "p") == [(frozenset(), "p")]
 
 
+def clarified(ctx):
+    """ctx with the first copy of each row and of each column."""
+    rows = {m: i for i, m in reversed(list(enumerate(ctx.row_masks)))}
+    cols = {m: j for j, m in reversed(list(enumerate(ctx.column_masks)))}
+    return ctx.restrict(sorted(rows.values()), sorted(cols.values()))
+
+
+def test_no_sector_has_a_one_column_transversal():
+    # the D-relation keeps every one-column cover out of a sector (see
+    # _sector_rules), which is why no filter drops singletons there
+    rng = random.Random(67)
+    unreduced = 0
+    for t in range(300):
+        ctx = (with_reducible_rows_and_columns(rng) if t % 2 else
+               random_context(rng, rng.randint(1, 8), rng.randint(1, 8),
+                              rng.choice((0.3, 0.5, 0.7))))
+        for edges in BasisStream(ctx)._sectors.values():
+            assert all(len(xs) >= 2 for xs, _ in _transversals(edges)), t
+        # the argument needs a clarified table only, not a reduced one
+        ctx = clarified(ctx)
+        unreduced += (len(reduce_context(ctx)[0].attributes)
+                      < len(ctx.attributes))
+        arrows = compute_arrows(ctx)
+        d = compute_d_relation(arrows)
+        cols = ctx.column_masks
+        down = _down_extents(attribute_order(ctx), range(len(cols)), ctx)
+        for bj in range(len(cols)):
+            edges = _sector_edges(ctx, arrows, d.sector_masks[bj], bj)
+            for _, xs, _, _ in _sector_rules(cols, down, 0, (edges, bj)):
+                assert len(xs) != 1, (t, bj, xs)
+    assert unreduced > 100
+
+
 def with_reducible_rows_and_columns(rng):
     """A random table plus a duplicate row, an intersection row, a
     duplicate column and a meet column, rows and columns shuffled."""
@@ -286,6 +330,20 @@ def test_refine_golden_flags():
     assert flags[(frozenset({"a2", "c1"}), "b")] is True
     assert flags[(frozenset({"a2", "c1"}), "a1")] is True
     assert sum(not v for v in flags.values()) == 1
+
+
+def test_refine_keeps_binary_and_empty_premise_rules():
+    # down-replacement would drop a binary rule x -> b, since b is below
+    # x; refinement never tests a premise shorter than 2
+    ctx = reduced_golden_context()
+    order = attribute_order(ctx)
+    rules = [dataclasses.replace(r, in_d_basis=False)
+             for r in binary_part(ctx, order)]
+    rules += [measure(ctx, frozenset(), b, in_d_basis=False)
+              for b in ctx.attributes]
+    refined = refine_to_d_basis(ctx, order, rules)
+    assert len(refined) == len(rules) > len(ctx.attributes)
+    assert all(r.in_d_basis for r in refined)
 
 
 def test_refine_rejects_an_order_of_other_elements():
