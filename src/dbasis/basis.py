@@ -14,8 +14,9 @@ extent (object mask) in the original table, and the D-basis flag (True
 for binary and expansion rules).  Support is ``popcount(ext &
 col[conclusion])`` and premise support ``popcount(ext)``, so every
 metric is counted on the original table, never the reduced one.
-``BasisStream`` yields the rules one conclusion at a time, which is the
-output order, and ``compute_basis`` collects them.  Leave-k-out merges
+``BasisStream`` applies the whole query (target, support floor, basis
+kind) and yields the rules it emits one conclusion at a time, which is
+the output order; ``compute_basis`` collects them.  Leave-k-out merges
 its sub-tables' streams and yields packed groups in that order too, with
 no global sort.  Rules become ``Implication`` objects only at the
 library edge, and an object builds its ``Fraction`` confidence from its
@@ -367,13 +368,6 @@ def canonical_sort(rules: Iterable[Implication],
                                         sorted(aidx[p] for p in r.premise)))
 
 
-def _kept(rules: list[Flagged], basis_kind: str) -> list[Flagged]:
-    """The candidates that ``basis_kind`` emits."""
-    if basis_kind == "d-basis":
-        return [r for r in rules if r[3]]
-    return rules
-
-
 def _check_query(ctx: BinaryContext, query: RuleQuery):
     if query.min_support > len(ctx.objects):
         raise ValueError("min_support exceeds the number of objects")
@@ -393,13 +387,15 @@ class BasisStream:
 
     Construction checks the query and does every step before dualization:
     reduction, the attribute order, arrows, and the sector edges of the
-    columns it dualizes.  Iterating yields the candidates (before the
-    basis-kind filter) as packed rules over the original table's columns,
-    one non-empty group per conclusion in column order.  A group holds the
-    binary rules, the sector's covers and the expansion rules that conclude
-    its column, after the target and support filters, sorted by premise
-    size, then premise columns; so the groups concatenate to the canonical
-    order, and a consumer that drops each group holds one group at a time.
+    columns it dualizes.  Iterating yields the rules the query emits as
+    packed rules over the original table's columns, one non-empty group
+    per conclusion in column order.  A group holds the binary rules, the
+    sector's covers and the expansion rules that conclude its column,
+    after the target and support filters, sorted by premise size, then
+    premise columns; so the groups concatenate to the canonical order,
+    and a consumer that drops each group holds one group at a time.
+    Under ``d-basis`` the covers flagged False are dropped here, the one
+    place the basis kind is applied; ``minimal-covers`` keeps them.
 
     Serially each sector is dualized when its group is due.  With
     ``worker_count`` > 1 an ordered pool dualizes ahead of the consumer;
@@ -407,6 +403,9 @@ class BasisStream:
     0 picks the machine's CPU count; a negative count is rejected.
     ``sector_counts`` maps each dualized sector's attribute to its
     number of covers, in column order, as the iteration reaches it.
+    ``candidate_count`` counts the rules before the basis kind is applied
+    and ``refined_count`` the covers flagged False among them, so both
+    kinds report the same two numbers; they restart with each iteration.
     """
 
     def __init__(self, ctx: BinaryContext, query: RuleQuery | None = None, *,
@@ -421,22 +420,26 @@ class BasisStream:
         self.order = attribute_order(self.reduced)
         self.arrows = compute_arrows(self.reduced)
         self.sector_counts: dict[str, int] = {}
+        self.candidate_count = self.refined_count = 0
 
         orig, cols = _column_map(self.reduced, ctx), ctx.column_masks
+        # the conclusions the query asks for, in column order
+        self._targets = (range(len(cols)) if query.target is None
+                         else [ctx.attribute_index[query.target]])
         # the binary and expansion rules that meet the floor; the sector
         # covers meet it by construction
         self._binary_and_expansion = _by_conclusion(
             r for r in _binary_rules(self.order, full_binary, orig, cols)
             + _expansion_rules(self.record, ctx)
-            if (r[2] & cols[r[0]]).bit_count() >= query.min_support)
+            if r[0] in self._targets
+            and (r[2] & cols[r[0]]).bit_count() >= query.min_support)
         self._down = _down_extents(self.order, orig, ctx)
         # conclusion column -> edges; orig is increasing, so remapping
         # keeps the edges' order and the sectors come in column order
         self._sectors = {
-            orig[bj]: [_remap(e, orig) for e in _sector_edges(
+            c: [_remap(e, orig) for e in _sector_edges(
                 self.reduced, self.arrows, _sector_mask(self.arrows, bj), bj)]
-            for bj, b in enumerate(self.reduced.attributes)
-            if query.target in (None, b)}
+            for bj, c in enumerate(orig) if c in self._targets}
 
     def __iter__(self) -> Iterator[list[Flagged]]:
         job = partial(_sector_rules, self.original.column_masks, self._down,
@@ -456,14 +459,20 @@ class BasisStream:
     def _groups(self, produced: Iterator[list[Flagged]]
                 ) -> Iterator[list[Flagged]]:
         labels = self.original.attributes
-        target = self.query.target
-        for c in (range(len(labels)) if target is None
-                  else [self.original.attribute_index[target]]):
+        keep_refined = self.query.basis_kind == "minimal-covers"
+        self.candidate_count = self.refined_count = 0
+        for c in self._targets:
             group = list(self._binary_and_expansion.get(c, ()))
+            self.candidate_count += len(group)
             if c in self._sectors:
                 covers = next(produced)
                 self.sector_counts[labels[c]] = len(covers)
-                group += covers
+                # binary and expansion rules are always in the D-basis,
+                # so only covers are refined away
+                kept = [r for r in covers if r[3]]
+                self.candidate_count += len(covers)
+                self.refined_count += len(covers) - len(kept)
+                group += covers if keep_refined else kept
             if group:
                 group.sort(key=_premise_key)
                 yield group
@@ -473,16 +482,13 @@ class BasisStream:
 class BasisResult:
     """Everything the pipeline produced, plus the intermediate objects.
 
-    ``packed`` holds the candidates (before the basis-kind filter) in
-    canonical order as packed rules over the original table's columns:
-    ``(conclusion, premise, ext, in_d_basis)``.  ``packed_rules`` is the
-    kept part, which ``render_lines`` prints; ``rules`` and
-    ``candidates`` are the same two lists as ``Implication`` objects,
-    built on first access.
+    ``packed`` holds the rules the query emits, in canonical order, as
+    packed rules over the original table's columns: ``(conclusion,
+    premise, ext, in_d_basis)``; ``render_lines`` prints them.  ``rules``
+    is the same list as ``Implication`` objects, built on first access.
     """
 
     packed: list[Flagged]
-    basis_kind: str
     original: BinaryContext
     reduced: BinaryContext
     record: ReductionRecord
@@ -491,15 +497,7 @@ class BasisResult:
     sector_counts: dict[str, int]
 
     @cached_property
-    def packed_rules(self) -> list[Flagged]:
-        return _kept(self.packed, self.basis_kind)
-
-    @cached_property
     def rules(self) -> list[Implication]:
-        return _implications(self.original, self.packed_rules)
-
-    @cached_property
-    def candidates(self) -> list[Implication]:
         return _implications(self.original, self.packed)
 
 
@@ -517,8 +515,7 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
     stream = BasisStream(ctx, query, worker_count=worker_count,
                          full_binary=full_binary)
     packed = [r for group in stream for r in group]
-    return BasisResult(packed=packed, basis_kind=stream.query.basis_kind,
-                       original=ctx, reduced=stream.reduced,
+    return BasisResult(packed=packed, original=ctx, reduced=stream.reduced,
                        record=stream.record, order=stream.order,
                        arrows=stream.arrows,
                        sector_counts=stream.sector_counts)
@@ -543,18 +540,17 @@ def leave_k_out_groups(ctx: BinaryContext, k: int,
     grouped by conclusion in column order; a group may be empty.
 
     Runs the exact pipeline on every table missing k rows, merges the
-    kept rules (a rule is in the D-basis when some sub-table says so),
-    re-measures them on the full table, keeps those with confidence
-    >= (n-k)/n and the support floor, and of these the premise-minimal
-    ones per conclusion, by premise size, then premise columns.  Every
-    sub-table runs before the first group.  k = 0 is exactly the plain
-    pipeline's groups after the basis-kind filter.
+    rules their streams emit (a rule is in the D-basis when some
+    sub-table says so), re-measures them on the full table, keeps those
+    with confidence >= (n-k)/n and the support floor, and of these the
+    premise-minimal ones per conclusion, by premise size, then premise
+    columns.  Every sub-table runs before the first group.  k = 0 is
+    exactly the plain pipeline's groups.
     """
     query = query or RuleQuery()
     leave_k_out_count(ctx, k, query)
     if k == 0:
-        for group in BasisStream(ctx, query):
-            yield _kept(group, query.basis_kind)
+        yield from BasisStream(ctx, query)
         return
     sub_query = RuleQuery(target=query.target, basis_kind=query.basis_kind)
     n = len(ctx.objects)
@@ -567,7 +563,7 @@ def leave_k_out_groups(ctx: BinaryContext, k: int,
                            range(len(cols)))
         for group in BasisStream(sub, sub_query):
             flags = merged.setdefault(group[0][0], {})
-            for _, xs, _, flag in _kept(group, query.basis_kind):
+            for _, xs, _, flag in group:
                 mask = sum(1 << x for x in xs)
                 flags[mask] = flags.get(mask, False) or flag
     for c in range(len(cols)):

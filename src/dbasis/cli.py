@@ -19,8 +19,8 @@ import time
 from contextlib import closing
 from pathlib import Path
 
-from .basis import (BASIS_KINDS, BasisStream, RuleQuery, _kept,
-                    leave_k_out_count, leave_k_out_groups, render_lines)
+from .basis import (BASIS_KINDS, BasisStream, RuleQuery, leave_k_out_count,
+                    leave_k_out_groups, render_lines)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
@@ -37,7 +37,8 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     """The ``run`` subcommand on parsed arguments.
 
     Both modes print each conclusion's rules as their generator yields
-    them; the summary, tallied from the same groups, follows on stderr.
+    them; the summary follows on stderr, its cover counts read from the
+    stream.
     """
     out = out or sys.stdout
     err = err or sys.stderr
@@ -60,16 +61,12 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
         stream = BasisStream(ctx, query, worker_count=args.workers,
                              full_binary=args.full_binary)
         groups = iter(stream)
-    covers = refined = emitted = 0
+    emitted = 0
     with closing(groups):
         for group in groups:
-            # a no-op on leave-K-out groups, which hold kept rules only
-            rules = _kept(group, query.basis_kind)
-            for line in render_lines(ctx, rules, jsonl):
+            for line in render_lines(ctx, group, jsonl):
                 out.write(line + "\n")
-            covers += len(group)
-            refined += sum(not r[3] for r in group)
-            emitted += len(rules)
+            emitted += len(group)
     if k:
         summary.append(f"rules emitted: {emitted} (leave-{k}-out)")
     else:
@@ -77,6 +74,7 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
                        f"{len(stream.reduced.attributes)} attributes")
         summary += [f"sector {b}: {n} covers"
                     for b, n in stream.sector_counts.items()]
+        covers, refined = stream.candidate_count, stream.refined_count
         summary.append(f"minimal covers: {covers} (d-basis {covers - refined},"
                        f" refined away {refined})")
         summary.append(f"rules emitted: {emitted}")

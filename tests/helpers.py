@@ -75,4 +75,4 @@ def sector_candidates(reduced: BinaryContext) -> list:
     has no removed attribute, hence no expansion rule)."""
     result = compute_basis(reduced, RuleQuery(basis_kind="minimal-covers"))
     assert result.reduced == reduced
-    return [r for r in result.candidates if len(r.premise) != 1]
+    return [r for r in result.rules if len(r.premise) != 1]

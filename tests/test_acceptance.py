@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from dbasis import (attribute_order, binary_part, compute_arrows,
+from dbasis import (RuleQuery, attribute_order, binary_part, compute_arrows,
                     compute_basis, compute_d_relation, dualize,
                     evaluation_order, leave_k_out_rules, measure, minimize,
                     object_order, ordered_closure, reduce_context,
@@ -54,11 +54,11 @@ def text_lines(ctx, rules):
     return [format_rule_text(r, aidx) for r in rules]
 
 
-def stream_digest(ctx, packed_rules):
+def stream_digest(ctx, packed):
     """sha256 of the text output lines, rendered straight from the packed
     rules (the same lines ``format_rule_text`` gives for their objects)."""
     h = hashlib.sha256()
-    for line in render_lines(ctx, packed_rules):
+    for line in render_lines(ctx, packed):
         h.update((line + "\n").encode())
     return h.hexdigest()
 
@@ -100,11 +100,13 @@ def test_criterion_1_walkthrough_pipeline():
                                 frozenset({"a2", "c1"}),
                                 frozenset({"a1", "a2"})}
 
-        result = compute_basis(ctx, worker_count=1)
-        flags = {rule_key(r): r.in_d_basis for r in result.candidates}
+        candidates = compute_basis(ctx, RuleQuery(basis_kind="minimal-covers"),
+                                   worker_count=1).rules
+        flags = {rule_key(r): r.in_d_basis for r in candidates}
         assert flags[(frozenset({"a1", "a2"}), "b")] is False
         assert sum(not v for v in flags.values()) == 1
 
+        result = compute_basis(ctx, worker_count=1)
         keys = {rule_key(r) for r in result.rules}
         assert (frozenset({"c1"}), "u") in keys
         assert (frozenset({"u"}), "c1") in keys
@@ -309,8 +311,8 @@ def serial_run(key):
     started = time.perf_counter()
     result = compute_basis(ctx, worker_count=1)
     elapsed = time.perf_counter() - started
-    digest = stream_digest(ctx, result.packed_rules)
-    _SERIAL_RUNS[key] = (digest, len(result.packed_rules), elapsed)
+    digest = stream_digest(ctx, result.packed)
+    _SERIAL_RUNS[key] = (digest, len(result.packed), elapsed)
     del result
     return _SERIAL_RUNS[key]
 
@@ -334,8 +336,8 @@ def test_criterion_8_worker_determinism():
             ctx = perf_table(key)
             serial_digest, n_serial, _ = serial_run(key)
             result = compute_basis(ctx, worker_count=8)
-            parallel_digest = stream_digest(ctx, result.packed_rules)
-            n_parallel = len(result.packed_rules)
+            parallel_digest = stream_digest(ctx, result.packed)
+            n_parallel = len(result.packed)
             del result
             assert n_serial == n_parallel, key
             assert serial_digest == parallel_digest, key

@@ -16,9 +16,9 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     dualize_streaming, evaluation_order, expand_to_original,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (_down_extents, _sector_edges, _sector_rules,
-                          canonical_sort, format_rule_jsonl, format_rule_text,
-                          render_lines)
+from dbasis.basis import (BASIS_KINDS, _down_extents, _sector_edges,
+                          _sector_rules, canonical_sort, format_rule_jsonl,
+                          format_rule_text, leave_k_out_groups, render_lines)
 from dbasis.dualization import _transversals
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
@@ -292,7 +292,7 @@ def test_public_function_rebuild_matches_the_pipeline():
             result = compute_basis(ctx, query)
             for jsonl in (False, True):
                 assert (public_rebuild_lines(ctx, query, jsonl)
-                        == list(render_lines(ctx, result.packed_rules, jsonl))
+                        == list(render_lines(ctx, result.packed, jsonl))
                         ), (t, query, jsonl)
         removed += len(result.record.attribute_substitutions)
     assert removed >= 60
@@ -311,7 +311,7 @@ def test_packed_metrics_match_a_recount_on_reducible_tables():
         queries.append(RuleQuery(target=rng.choice(ctx.attributes)))
         for query in queries:
             result = compute_basis(ctx, query)
-            for c, xs, ext, _ in result.packed_rules:
+            for c, xs, ext, _ in result.packed:
                 assert ext == ctx.extent_mask(sum(1 << x for x in xs)), t
                 assert ext & ~cols[c] == 0, t
             for r in result.rules:
@@ -406,9 +406,11 @@ def test_compute_basis_golden_exact():
         (["c1"], "u", 5, "1"),
         (["v"], "u", 1, "1"),
     ]
-    assert len(result.packed) == 17
-    assert sum(r[3] for r in result.packed) == 16
-    assert sum(not r[3] for r in result.packed) == 1
+    assert len(result.packed) == 16
+    assert all(r[3] for r in result.packed)
+    candidates = compute_basis(ctx, RuleQuery(basis_kind="minimal-covers"))
+    assert len(candidates.packed) == 17
+    assert sum(not r[3] for r in candidates.packed) == 1
     assert result.sector_counts == {"b": 3, "a1": 1, "a2": 1, "c1": 0, "c2": 0}
 
 
@@ -443,38 +445,62 @@ def test_compute_basis_min_support():
         compute_basis(ctx, RuleQuery(target="zz"))
 
 
-def test_compute_basis_worker_counts_agree():
-    # the flags are computed inside the workers, so compare whole packed
-    # rules (metrics and flags too) on tables whose reduction drops
-    # columns, i.e. whose column map is not the identity
+def worker_tables_and_queries():
+    """Tables whose reduction drops columns, i.e. whose column map is not
+    the identity, each with a plain, a floored and a targeted query of
+    both basis kinds."""
     rng = random.Random(47)
     tables = [golden_context()] + [with_reducible_rows_and_columns(rng)
                                    for _ in range(3)]
-    remapped = 0
     for ctx in tables:
-        for query in (RuleQuery(), RuleQuery(min_support=2),
-                      RuleQuery(target=rng.choice(ctx.attributes)),
-                      RuleQuery(basis_kind="minimal-covers")):
+        target = rng.choice(ctx.attributes)
+        yield ctx, [RuleQuery(basis_kind=kind, **extra)
+                    for extra in ({}, {"min_support": 2}, {"target": target})
+                    for kind in BASIS_KINDS]
+
+
+def test_compute_basis_worker_counts_agree():
+    # the flags are computed inside the workers, so compare whole packed
+    # rules (metrics and flags too); the minimal-covers runs hold the
+    # candidates, flagged False ones included
+    remapped = 0
+    for ctx, queries in worker_tables_and_queries():
+        for query in queries:
             base = compute_basis(ctx, query, worker_count=1)
             remapped += base.reduced.attributes != ctx.attributes
             for workers in (2, 3):
                 alt = compute_basis(ctx, query, worker_count=workers)
                 assert alt.packed == base.packed
-                assert alt.packed_rules == base.packed_rules
                 assert alt.sector_counts == base.sector_counts
     assert remapped
 
 
+def test_stream_applies_the_basis_kind_and_counts_the_candidates():
+    refined = 0
+    for ctx, queries in worker_tables_and_queries():
+        for d_query, mc_query in zip(queries[::2], queries[1::2]):
+            for workers in (1, 2, 3):
+                d_stream = BasisStream(ctx, d_query, worker_count=workers)
+                mc_stream = BasisStream(ctx, mc_query, worker_count=workers)
+                d_groups, mc_groups = list(d_stream), list(mc_stream)
+                kept = [[r for r in g if r[3]] for g in mc_groups]
+                assert d_groups == [g for g in kept if g]
+                mc_rules = [r for g in mc_groups for r in g]
+                for stream in (d_stream, mc_stream):
+                    assert stream.candidate_count == len(mc_rules)
+                    assert stream.refined_count == sum(
+                        not r[3] for r in mc_rules)
+                    assert stream.sector_counts == mc_stream.sector_counts
+                refined += mc_stream.refined_count
+        for query in queries:
+            assert (list(leave_k_out_groups(ctx, 0, query))
+                    == list(BasisStream(ctx, query)))
+    assert refined
+
+
 def test_stream_groups_concatenate_to_compute_basis():
-    # the tables of test_compute_basis_worker_counts_agree
-    rng = random.Random(47)
-    tables = [golden_context()] + [with_reducible_rows_and_columns(rng)
-                                   for _ in range(3)]
-    for ctx in tables:
-        runs = [(RuleQuery(), False), (RuleQuery(min_support=2), False),
-                (RuleQuery(target=rng.choice(ctx.attributes)), False),
-                (RuleQuery(basis_kind="minimal-covers"), False),
-                (RuleQuery(), True)]
+    for ctx, queries in worker_tables_and_queries():
+        runs = [(query, False) for query in queries] + [(RuleQuery(), True)]
         for query, full in runs:
             base = compute_basis(ctx, query, full_binary=full)
             for workers in (1, 2, 3):
@@ -575,15 +601,18 @@ def test_support_floor_prunes_without_changing_the_output():
     rng = random.Random(61)
     for t in range(40):
         ctx = random_context(rng, rng.randint(8, 16), rng.randint(6, 12))
-        base = compute_basis(ctx)
-        top = max(r.support for r in base.candidates)
+        bases = {kind: compute_basis(ctx, RuleQuery(basis_kind=kind))
+                 for kind in BASIS_KINDS}
+        top = max(r.support for r in bases["minimal-covers"].rules)
         floors = range(min(top + 1, len(ctx.objects)) + 1)
         for k in floors:
-            got = compute_basis(ctx, RuleQuery(min_support=k))
-            for attr in ("rules", "candidates"):
-                assert ([rule_row(r) for r in getattr(got, attr)]
-                        == [rule_row(r) for r in getattr(base, attr)
-                            if r.support >= k]), (t, k, attr)
+            got = {kind: compute_basis(ctx, RuleQuery(min_support=k,
+                                                      basis_kind=kind))
+                   for kind in BASIS_KINDS}
+            for kind, base in bases.items():
+                assert ([rule_row(r) for r in got[kind].rules]
+                        == [rule_row(r) for r in base.rules
+                            if r.support >= k]), (t, k, kind)
             # the sector covers meet the floor without a later filter
             stream = BasisStream(ctx, RuleQuery(min_support=k))
             cols = ctx.column_masks
@@ -591,10 +620,12 @@ def test_support_floor_prunes_without_changing_the_output():
                 for r in _sector_rules(cols, stream._down, k, (edges, c)):
                     assert (r[2] & cols[c]).bit_count() >= k, (t, k, r)
             if t % 8 == 0:
-                parallel = compute_basis(ctx, RuleQuery(min_support=k),
-                                         worker_count=2)
-                assert ([rule_row(r) for r in parallel.candidates]
-                        == [rule_row(r) for r in got.candidates]), (t, k)
+                parallel = compute_basis(
+                    ctx, RuleQuery(min_support=k, basis_kind="minimal-covers"),
+                    worker_count=2)
+                assert ([rule_row(r) for r in parallel.rules]
+                        == [rule_row(r) for r in got["minimal-covers"].rules]
+                        ), (t, k)
 
 
 def closure_reference_flags(ctx, order, rules):
@@ -651,9 +682,9 @@ def test_pipeline_flags_match_exhaustive_replacement_on_unreduced_tables():
                 + [int(base.bit(i, j)) for j in range(len(base.attributes))]
                 for i in range(len(base.objects))]
         ctx = BinaryContext(base.objects, ["m", "c", *base.attributes], rows)
-        result = compute_basis(ctx)
+        result = compute_basis(ctx, RuleQuery(basis_kind="minimal-covers"))
         kept = set(result.reduced.attributes)
-        for r in result.candidates:
+        for r in result.rules:
             if len(r.premise) >= 2 and r.premise <= kept:
                 assert r.in_d_basis == (not replacement_excluded(
                     result.reduced, result.order, r.premise, r.conclusion))

@@ -79,6 +79,22 @@ def test_run_minimal_covers(golden_file, capsys):
     assert "a1 a2 -> b [support=1, confidence=1, d_basis=false]" in out
 
 
+def test_run_summary_under_minimal_covers_and_target(golden_file, capsys):
+    # both kinds count the same candidates; only what is emitted differs
+    assert main(["run", golden_file, "--basis", "minimal-covers"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "minimal covers: 17 (d-basis 16, refined away 1)" in err
+    assert "rules emitted: 17" in err
+    for kind, emitted in (("d-basis", 3), ("minimal-covers", 4)):
+        assert main(["run", golden_file, "--target", "b",
+                     "--basis", kind]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if ln.startswith("sector ")] == [
+            "sector b: 3 covers"]
+        assert "minimal covers: 4 (d-basis 3, refined away 1)" in err
+        assert f"rules emitted: {emitted}" in err
+
+
 def test_run_target(golden_file, capsys):
     assert main(["run", golden_file, "--target", "b"]) == 0
     out = capsys.readouterr().out.splitlines()
