@@ -19,8 +19,8 @@ import time
 from contextlib import closing
 from pathlib import Path
 
-from .basis import (BASIS_KINDS, BasisStream, RuleQuery, leave_k_out_count,
-                    leave_k_out_groups, render_lines)
+from .basis import (BASIS_KINDS, RENDER_SLICE, BasisStream, RuleQuery,
+                    leave_k_out_count, leave_k_out_groups, line_renderer)
 from .context import ParseError, parse_context, reduce_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import compute_arrows, render_arrow_table
@@ -61,11 +61,13 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
         stream = BasisStream(ctx, query, worker_count=args.workers,
                              full_binary=args.full_binary)
         groups = iter(stream)
+    render = line_renderer(ctx.attributes, ctx.column_masks, jsonl)
     emitted = 0
     with closing(groups):
         for group in groups:
-            for line in render_lines(ctx, group, jsonl):
-                out.write(line + "\n")
+            # one write per slice of lines; an empty group writes nothing
+            for i in range(0, len(group), RENDER_SLICE):
+                out.write("\n".join(render(group[i:i + RENDER_SLICE])) + "\n")
             emitted += len(group)
     if k:
         summary.append(f"rules emitted: {emitted} (leave-{k}-out)")

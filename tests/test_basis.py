@@ -16,7 +16,7 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     dualize_streaming, evaluation_order, expand_to_original,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (BASIS_KINDS, _down_extents, _sector_edges,
+from dbasis.basis import (BASIS_KINDS, _down_extents, _remap, _sector_edges,
                           _sector_rules, canonical_sort, format_rule_jsonl,
                           format_rule_text, leave_k_out_groups, render_lines)
 from dbasis.dualization import _transversals
@@ -162,12 +162,24 @@ def sector_keys(ctx, arrows, d, b):
     """(premise labels, conclusion label) of the kernel's rules for b,
     measured on ctx itself."""
     labels, cols = ctx.attributes, ctx.column_masks
-    down = _down_extents(attribute_order(ctx), range(len(labels)), ctx)
+    down = _down_extents(attribute_order(ctx), range(len(labels)), (), ctx)
     bj = ctx.attribute_index[b]
     return [(frozenset(labels[j] for j in xs), labels[c])
             for c, xs, _, _ in _sector_rules(
                 cols, down, 0,
                 (_sector_edges(ctx, arrows, d.sector_masks[bj], bj), bj))]
+
+
+def test_remap_moves_each_bit_to_its_kept_column():
+    # the definition, one bit at a time: bit j goes to the j-th kept column
+    rng = random.Random(103)
+    for _ in range(2000):
+        width = rng.randint(0, 90)
+        kept = sorted(rng.sample(range(width), rng.randint(0, width)))
+        removed = sorted(set(range(width)) - set(kept))
+        mask = rng.getrandbits(len(kept))
+        want = sum(1 << kept[j] for j in range(len(kept)) if mask >> j & 1)
+        assert _remap(mask, removed) == want, (kept, mask)
 
 
 def test_sector_rules_golden():
@@ -220,7 +232,7 @@ def test_no_sector_has_a_one_column_transversal():
         arrows = compute_arrows(ctx)
         d = compute_d_relation(arrows)
         cols = ctx.column_masks
-        down = _down_extents(attribute_order(ctx), range(len(cols)), ctx)
+        down = _down_extents(attribute_order(ctx), range(len(cols)), (), ctx)
         for bj in range(len(cols)):
             edges = _sector_edges(ctx, arrows, d.sector_masks[bj], bj)
             for _, xs, _, _ in _sector_rules(cols, down, 0, (edges, bj)):

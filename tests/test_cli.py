@@ -6,11 +6,15 @@ import select
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from dbasis import RuleQuery, compute_basis, leave_k_out_rules, parse_context
-from dbasis.basis import format_rule_jsonl, format_rule_text, render_line
+import dbasis.cli
+from dbasis import (BasisStream, BinaryContext, RuleQuery, compute_basis,
+                    leave_k_out_rules, parse_context)
+from dbasis.basis import (format_rule_jsonl, format_rule_text,
+                          leave_k_out_groups, render_line, render_lines)
 from dbasis.cli import build_parser, main
 
 from helpers import GOLDEN_CSV, random_context
@@ -428,6 +432,8 @@ RUN_OPTIONS = [
      "--full-binary", "--workers", "2"],
     ["--leave-out", "1"],
     ["--leave-out", "1", "--basis", "minimal-covers", "--min-support", "2"],
+    # every conclusion but a3 gets an empty group, which prints nothing
+    ["--leave-out", "1", "--target", "a3"],
 ]
 
 
@@ -445,8 +451,8 @@ def library_lines(ctx, args):
 
 
 def test_run_stdout_is_the_formatted_library_rules(tmp_path, capsys):
-    # the CLI renders its packed rules itself; they must print as the
-    # library's Implication objects do, line for line
+    # the CLI renders its packed rules itself, a slice at a time; they
+    # must print as the library's Implication objects do, byte for byte
     rng = random.Random(83)
     seen = []
     for t, density in enumerate((0.45, 0.7, 0.45, 0.7)):
@@ -458,14 +464,95 @@ def test_run_stdout_is_the_formatted_library_rules(tmp_path, capsys):
             for opts in RUN_OPTIONS:
                 args = [*opts, "--output", output]
                 assert main(["run", path, *args]) == 0
-                got = capsys.readouterr().out.splitlines()
-                assert got == library_lines(ctx, args), (t, args)
-                seen += got
+                want = library_lines(ctx, args)
+                assert capsys.readouterr().out == "".join(
+                    line + "\n" for line in want), (t, args)
+                seen += want
     text = [ln for ln in seen if ln.endswith("]")]
     assert any("d_basis=false" in ln for ln in text)
     assert any("confidence=1," not in ln for ln in text)
     assert any(json.loads(ln)["confidence_den"] > 1
                for ln in seen if ln.startswith("{"))
+
+
+class Writes:
+    """An output stream that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_run_writes_once_per_slice_of_a_group(tmp_path, monkeypatch):
+    # the bytes do not depend on the slice size, a group of n rules takes
+    # ceil(n / slice) writes, and an empty group none
+    rng = random.Random(97)
+    path = write_csv(random_context(rng, 9, 8, 0.5), tmp_path / "t.csv")
+    ctx = parse_context(open(path).read(), "dense-csv")
+    for opts in ([], ["--leave-out", "1", "--target", "a3"]):
+        args = build_parser().parse_args(["run", path, *opts])
+        query = RuleQuery(target=args.target)
+        groups = (list(leave_k_out_groups(ctx, 1, query)) if args.leave_out
+                  else list(BasisStream(ctx, query)))
+        texts = set()
+        for size in (1, 2, 3, 2048):
+            monkeypatch.setattr(dbasis.cli, "RENDER_SLICE", size)
+            out = Writes()
+            assert dbasis.cli.run(args, out, io.StringIO()) == 0
+            assert len(out.writes) == sum(-(-len(g) // size) for g in groups)
+            assert all(w.endswith("]\n") and "\n\n" not in w
+                       for w in out.writes)
+            texts.add("".join(out.writes))
+        assert len(texts) == 1, opts
+        assert any(not g for g in groups) == bool(args.leave_out)
+
+
+# labels that JSON escapes, and characters outside ASCII that it keeps
+ODD_LABELS = ['say "hi"', "back\\slash", 'both \\"', "naïve", "日本語", "😀",
+              "tab\tin", "line\u2028sep"]
+
+
+def test_labels_render_as_render_line_does_in_both_formats():
+    rng = random.Random(90)
+    seen, inexact = set(), False
+    for density in (0.6, 0.8):
+        base = random_context(rng, 10, len(ODD_LABELS), density)
+        ctx = BinaryContext(base.objects, ODD_LABELS, [
+            [int(base.bit(i, j)) for j in range(len(ODD_LABELS))]
+            for i in range(len(base.objects))])
+        labels, cols = ctx.attributes, ctx.column_masks
+        # all candidates, refined-away ones included, and the leave-one-out
+        # rules, whose confidences can go below 1
+        packed = compute_basis(ctx,
+                               RuleQuery(basis_kind="minimal-covers")).packed
+        packed += [r for g in leave_k_out_groups(ctx, 1) for r in g]
+        text = list(render_lines(ctx, packed))
+        jsonl = list(render_lines(ctx, packed, jsonl=True))
+        assert len(text) == len(jsonl) == len(packed)
+        for (c, xs, ext, flag), t, j in zip(packed, text, jsonl):
+            premise = [labels[x] for x in xs]
+            sup, psup = (ext & cols[c]).bit_count(), ext.bit_count()
+            assert t == render_line(premise, labels[c], sup, psup, flag)
+            # and as spelled here
+            num, den = (Fraction(sup, psup) if psup else Fraction(1)
+                        ).as_integer_ratio()
+            conf = str(num) if den == 1 else f"{num}/{den}"
+            assert t == (f"{' '.join([*premise, '->'])} {labels[c]} "
+                         f"[support={sup}, confidence={conf}, "
+                         f"d_basis={str(flag).lower()}]")
+            doc = json.loads(j)
+            assert doc == json.loads(render_line(premise, labels[c], sup,
+                                                 psup, flag, jsonl=True))
+            assert (doc["premise"], doc["conclusion"], doc["support"],
+                    doc["premise_support"], doc["in_d_basis"]) == (
+                        premise, labels[c], sup, psup, flag)
+            # the standard library's own spelling, byte for byte
+            assert j == json.dumps(doc, ensure_ascii=False)
+            seen.update(premise, [labels[c]])
+            inexact |= sup < psup
+    assert seen == set(ODD_LABELS) and inexact
 
 
 def test_render_line_confidences():
