@@ -140,6 +140,7 @@ def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, sector: int,
     to imply bj's attribute.
     """
     rows = ctx.row_masks
+    # already an antichain: _minimal only puts the edges in search order
     return _minimal([sector & ~rows[i] for i in _bits(arrows.up_cols[bj])])
 
 

@@ -85,6 +85,7 @@ def _supersets_pairwise(masks: Sequence[int]) -> list[int]:
             for k, mk in enumerate(masks)]
 
 
+
 @dataclass(frozen=True, init=False, repr=False)
 class BinaryContext:
     """Immutable 0/1 table with labelled objects and attributes.
@@ -275,8 +276,6 @@ def parse_fimi(text: str) -> BinaryContext:
     if not transactions:
         raise ParseError("empty table")
     universe = sorted(set().union(*transactions))
-    if not universe:
-        raise ParseError("empty table")
     attributes = [str(item) for item in universe]
     pos = {item: j for j, item in enumerate(universe)}
     objects = [str(i) for i in range(1, len(transactions) + 1)]
@@ -310,16 +309,24 @@ class ReductionRecord:
     column (empty for full-ones columns).  Removed attributes whose
     closure is the entire attribute set are listed in
     ``saturated_attributes``; their substitution set is the full witness
-    and carries no information beyond "everything".  ``object_merges``
-    maps each removed object to its duplicate representative, or to
-    ``None`` when the row is an intersection of other rows.
+    and carries no information beyond "everything".  The kept rows and
+    columns are the reduced table's own.
     """
 
-    kept_objects: tuple[str, ...]
-    kept_attributes: tuple[str, ...]
     attribute_substitutions: dict[str, frozenset[str]] = field(default_factory=dict)
-    object_merges: dict[str, str | None] = field(default_factory=dict)
     saturated_attributes: frozenset[str] = frozenset()
+
+
+def _arrow_fold(ctx: BinaryContext) -> tuple[list[int], list[int]]:
+    """Per row of a clarified table, the attributes it lacks that every
+    strictly larger row holds (its up arrows); per column, the objects it
+    lacks that every strictly larger column holds (its down arrows)."""
+    rows, cols = ctx.row_masks, ctx.column_masks
+    up_rows = [ctx.intent_mask(above) & ~rows[i]
+               for i, above in enumerate(_strict_supersets(rows, cols))]
+    down_cols = [ctx.extent_mask(above) & ~cols[j]
+                 for j, above in enumerate(_strict_supersets(cols, rows))]
+    return up_rows, down_cols
 
 
 def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
@@ -341,21 +348,14 @@ def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
         first_row.setdefault(row, i)
     clarified = ctx.restrict(list(first_row.values()), list(first_col.values()))
 
-    # A column is reducible when it is the intersection of the columns
-    # strictly containing it, a row when it is that of its strict supersets.
-    rows, cols = clarified.row_masks, clarified.column_masks
-    keep_attrs = [j for j, above in enumerate(_strict_supersets(cols, rows))
-                  if clarified.extent_mask(above) != cols[j]]
-    keep_objs = [i for i, above in enumerate(_strict_supersets(rows, cols))
-                 if clarified.intent_mask(above) != rows[i]]
-    reduced = clarified.restrict(keep_objs, keep_attrs)
+    up_rows, down_cols = _arrow_fold(clarified)
+    reduced = clarified.restrict([i for i, up in enumerate(up_rows) if up],
+                                 [j for j, down in enumerate(down_cols) if down])
 
     kept_omask = sum(1 << ctx.object_index[g] for g in reduced.objects)
     kept_amask = sum(1 << ctx.attribute_index[a] for a in reduced.attributes)
     kept_col = {ctx.column_masks[ctx.attribute_index[a]] & kept_omask: a
                 for a in reduced.attributes}
-    kept_row = {ctx.row_masks[ctx.object_index[g]] & kept_amask: g
-                for g in reduced.objects}
 
     subs: dict[str, frozenset[str]] = {}
     saturated = set()
@@ -376,14 +376,4 @@ def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
                     "removed column is not expressible"
             subs[label] = frozenset(ctx.attributes[w] for w in _bits(witness))
 
-    merges = {g: kept_row.get(ctx.row_masks[i] & kept_amask)
-              for i, g in enumerate(ctx.objects) if g not in reduced.object_index}
-
-    record = ReductionRecord(
-        kept_objects=reduced.objects,
-        kept_attributes=reduced.attributes,
-        attribute_substitutions=subs,
-        object_merges=merges,
-        saturated_attributes=frozenset(saturated),
-    )
-    return reduced, record
+    return reduced, ReductionRecord(subs, frozenset(saturated))

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import BinaryContext, _bits, _strict_supersets, _transpose
+from .context import (BinaryContext, _arrow_fold, _bits, _strict_supersets,
+                      _transpose)
 
 
 @dataclass(frozen=True)
@@ -25,13 +26,6 @@ class PartialOrder:
 
     elements: tuple[str, ...]
     below_masks: tuple[int, ...]
-
-    def leq(self, x: str, y: str) -> bool:
-        return x == y or x in self.strictly_below(y)
-
-    def strictly_below(self, x: str) -> frozenset[str]:
-        mask = self.below_masks[self.elements.index(x)]
-        return frozenset(self.elements[k] for k in _bits(mask))
 
     def _index_pairs(self, covers: bool) -> list[tuple[int, int]]:
         """Sorted strict pairs (lower, upper) of element indices; with
@@ -45,14 +39,9 @@ class PartialOrder:
         return sorted(out)
 
     def pairs(self) -> set[tuple[str, str]]:
-        """All strict pairs (lower, upper)."""
+        """All strict pairs (lower, upper), as acceptance criterion 1 reads."""
         return {(self.elements[lo], self.elements[up])
                 for lo, up in self._index_pairs(False)}
-
-    def covers(self) -> list[tuple[str, str]]:
-        """Covering pairs (lower, upper): nothing sits strictly between."""
-        return [(self.elements[lo], self.elements[up])
-                for lo, up in self._index_pairs(True)]
 
 
 def _check_clarified(ctx: BinaryContext):
@@ -70,7 +59,8 @@ def attribute_order(ctx: BinaryContext) -> PartialOrder:
 
 
 def object_order(ctx: BinaryContext) -> PartialOrder:
-    """i <= i' iff i's row is contained in i''s row (smaller intent = lower)."""
+    """i <= i' iff i's row is contained in i''s row (smaller intent = lower);
+    only acceptance criterion 1 reads it."""
     _check_clarified(ctx)
     above = _strict_supersets(ctx.row_masks, ctx.column_masks)
     return PartialOrder(ctx.objects, tuple(_transpose(above, len(above))))
@@ -79,7 +69,8 @@ def object_order(ctx: BinaryContext) -> PartialOrder:
 @dataclass(frozen=True)
 class ArrowTable:
     """``up_cols[j]``, ``down_cols[j]``: object masks of column j's arrows;
-    ``up``, ``down`` and ``updown`` are (attribute, object) views."""
+    ``up`` and ``down`` are (attribute, object) views, read by
+    ``perfbench/traced.py`` until the stats record replaces it."""
 
     attributes: tuple[str, ...]
     objects: tuple[str, ...]
@@ -98,31 +89,24 @@ class ArrowTable:
     def down(self) -> frozenset[tuple[str, str]]:
         return self._pairs(self.down_cols)
 
-    @property
-    def updown(self) -> frozenset[tuple[str, str]]:
-        return self._pairs(u & d for u, d in zip(self.up_cols, self.down_cols))
-
 
 def compute_arrows(ctx: BinaryContext) -> ArrowTable:
     """Up/down arrows of a reduced table.
 
     (j, i) gets an up arrow when row i is intent-maximal among rows
     lacking j, and a down arrow when no column strictly above j is also
-    absent from row i.  So row i's up arrows are the attributes it lacks
-    that every strictly larger row holds, and column j's down arrows are
-    the objects it lacks that every strictly larger column holds.
+    absent from row i; ``_arrow_fold`` computes both, as reduction does.
     """
     _check_clarified(ctx)
-    rows, cols = ctx.row_masks, ctx.column_masks
-    up_cols = _transpose([ctx.intent_mask(above) & ~rows[i] for i, above
-                          in enumerate(_strict_supersets(rows, cols))], len(cols))
-    down_cols = tuple(ctx.extent_mask(above) & ~cols[j]
-                      for j, above in enumerate(_strict_supersets(cols, rows)))
-    return ArrowTable(ctx.attributes, ctx.objects, tuple(up_cols), down_cols)
+    up_rows, down_cols = _arrow_fold(ctx)
+    return ArrowTable(ctx.attributes, ctx.objects,
+                      tuple(_transpose(up_rows, len(down_cols))),
+                      tuple(down_cols))
 
 
 def up_objects(arrows: ArrowTable, b: str) -> set[str]:
-    """M(b): the objects carrying an up arrow in b's column."""
+    """M(b): the objects carrying an up arrow in b's column, as
+    acceptance criterion 1 reads them."""
     if b not in arrows.attributes:
         raise KeyError(f"unknown attribute label: {b!r}")
     col = arrows.up_cols[arrows.attributes.index(b)]
@@ -131,7 +115,8 @@ def up_objects(arrows: ArrowTable, b: str) -> set[str]:
 
 @dataclass(frozen=True)
 class DRelation:
-    """Attribute mask of each attribute's sector; ``sectors`` labels them."""
+    """Attribute mask of each attribute's sector; ``sectors`` labels them
+    for ``perfbench/traced.py`` until the stats record replaces it."""
 
     attributes: tuple[str, ...]
     sector_masks: tuple[int, ...]

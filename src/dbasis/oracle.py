@@ -171,7 +171,8 @@ def replacement_excluded(ctx: BinaryContext, order, premise: frozenset[str],
     """
     for x in premise:
         rest = premise - {x}
-        below = sorted(order.strictly_below(x))
+        mask = order.below_masks[order.elements.index(x)]
+        below = sorted(order.elements[k] for k in _bits(mask))
         for size in range(len(below) + 1):
             for combo in itertools.combinations(below, size):
                 if x in ctx.closure(combo):

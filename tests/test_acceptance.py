@@ -70,8 +70,8 @@ def test_criterion_1_walkthrough_pipeline():
     def body():
         ctx = golden_context()
         reduced, record = reduce_context(ctx)
-        assert record.kept_objects == ("1", "2", "3", "4")
-        assert record.kept_attributes == ("b", "a1", "a2", "c1", "c2")
+        assert reduced.objects == ("1", "2", "3", "4")
+        assert reduced.attributes == ("b", "a1", "a2", "c1", "c2")
         assert record.attribute_substitutions["u"] == frozenset({"c1"})
         assert record.saturated_attributes == frozenset({"v"})
 

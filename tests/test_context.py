@@ -237,7 +237,7 @@ def _fixpoint_reduction(ctx):
         if (objs, attrs) == before:
             break
 
-    ext, itt = extents(), intents()
+    ext = extents()
     subs, saturated = {}, set()
     for a in ctx.attributes:
         if a in attrs:
@@ -252,15 +252,9 @@ def _fixpoint_reduction(ctx):
             subs[a] = frozenset(b for b in attrs if col <= ext[b])
             if subs[a] == frozenset(attrs):
                 saturated.add(a)
-    merges = {}
-    for g in ctx.objects:
-        if g not in objs:
-            row = frozenset(a for a in attrs if ctx.has(g, a))
-            merges[g] = next((h for h in objs if itt[h] == row), None)
     reduced = BinaryContext(objs, attrs, [[int(ctx.has(g, a)) for a in attrs]
                                           for g in objs])
-    return reduced, ReductionRecord(tuple(objs), tuple(attrs), subs, merges,
-                                    frozenset(saturated))
+    return reduced, ReductionRecord(subs, frozenset(saturated))
 
 
 def _wide_reducible_context(rng):
@@ -316,14 +310,17 @@ def test_strict_supersets_by_bits_and_pairwise_agree():
 
 def test_reduce_golden():
     reduced, record = reduce_context(golden_context())
-    assert record.kept_objects == ("1", "2", "3", "4")
-    assert record.kept_attributes == ("b", "a1", "a2", "c1", "c2")
     assert reduced.objects == ("1", "2", "3", "4")
     assert reduced.attributes == ("b", "a1", "a2", "c1", "c2")
     assert record.attribute_substitutions == {"u": frozenset({"c1"}),
                                               "v": frozenset({"b", "a1", "a2", "c1", "c2"})}
     assert record.saturated_attributes == frozenset({"v"})
-    assert record.object_merges == {"5": "4", "6": None}
+    # row 5 repeats row 4 on the kept columns; row 6 repeats no kept row
+    def kept_part(g):
+        return golden_context().support_of_objects({g}) & set(reduced.attributes)
+    assert kept_part("5") == reduced.support_of_objects({"4"})
+    assert all(kept_part("6") != reduced.support_of_objects({g})
+               for g in reduced.objects)
     # bits survive the projection
     for obj in reduced.objects:
         for attr in reduced.attributes:
@@ -333,9 +330,8 @@ def test_reduce_golden():
 def test_reduce_is_idempotent_on_golden():
     reduced, _ = reduce_context(golden_context())
     again, record = reduce_context(reduced)
-    assert again == reduced
+    assert again == reduced  # no row removed either
     assert not record.attribute_substitutions
-    assert not record.object_merges
 
 
 def test_reduce_full_column_yields_empty_substitution():
@@ -374,8 +370,8 @@ def test_reduce_random_is_fully_reduced():
         ctx = random_context(rng, rng.randint(1, 6), rng.randint(1, 6))
         reduced, _ = reduce_context(ctx)
         again, record = reduce_context(reduced)
-        assert again == reduced
-        assert not record.attribute_substitutions and not record.object_merges
+        assert again == reduced  # no row removed either
+        assert not record.attribute_substitutions
 
 
 def test_reduce_matches_the_fixpoint_reference():
@@ -392,5 +388,6 @@ def test_reduce_wide_table_matches_the_fixpoint_reference():
     ctx = _wide_reducible_context(random.Random(23))
     reduced, record = reduce_context(ctx)
     assert len(reduced.objects) > 64 and len(reduced.attributes) > 64
-    assert record.attribute_substitutions and record.object_merges
+    assert record.attribute_substitutions
+    assert len(reduced.objects) < len(ctx.objects)
     assert (reduced, record) == _fixpoint_reduction(ctx)
