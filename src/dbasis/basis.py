@@ -3,9 +3,9 @@
 The pipeline: reduce the table, compute arrows and the D-relation, then
 for each attribute b dualize the sector hypergraph whose minimal
 transversals are exactly the minimal non-binary premises implying b.
-Each transversal is flagged as the dualizer yields it, by whether it
-survives down-replacement (the D-basis proper), and removed attributes
-are translated back in.
+The dualizer flags each transversal as it yields it, from its critical
+edges, by whether it survives down-replacement (the D-basis proper; see
+``_sector_rules``), and removed attributes are translated back in.
 
 Inside the pipeline a rule is a packed tuple ``(conclusion, premise,
 ext, in_d_basis)``: the conclusion's column index in the original table,
@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .context import BinaryContext, ReductionRecord, _bits, reduce_context
-from .dualization import Hypergraph, _minimal, _transversals
+from .dualization import Hypergraph, _minimal, _search_order, _transversals
 from .lattice import (ArrowTable, DRelation, PartialOrder, _sector_mask,
                       attribute_order, compute_arrows)
 
@@ -130,18 +130,20 @@ class RuleQuery:
 
 
 def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, sector: int,
-                  bj: int) -> list[int]:
-    """Column bj's dualization instance (``sector`` is its sector mask)
-    as minimal masks over ctx's columns.
+                  bj: int) -> list[tuple[int, int]]:
+    """Column bj's dualization instance (``sector`` is its sector mask):
+    masks over ctx's columns, each paired with its up-arrow row.
 
     For every object with an up arrow at bj the edge is the part of the
     sector NOT held by it.  A transversal therefore meets every such
     object's complement, which is exactly the condition for the premise
-    to imply bj's attribute.
+    to imply bj's attribute.  Distinct up-arrow rows give distinct
+    edges, already an antichain, so none is dropped; they come in
+    ``_search_order``.
     """
     rows = ctx.row_masks
-    # already an antichain: _minimal only puts the edges in search order
-    return _minimal([sector & ~rows[i] for i in _bits(arrows.up_cols[bj])])
+    row_of = {sector & ~rows[i]: rows[i] for i in _bits(arrows.up_cols[bj])}
+    return [(e, row_of[e]) for e in _search_order(row_of)]
 
 
 def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
@@ -159,7 +161,7 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
         raise EmptySectorError(f"attribute {b!r} has no nontrivial covers")
     vid = {c: k for k, c in enumerate(sector)}
     edges = [frozenset(vid[c] for c in _bits(e))
-             for e in _sector_edges(ctx, arrows, d.sector_masks[bj], bj)]
+             for e, _ in _sector_edges(ctx, arrows, d.sector_masks[bj], bj)]
     return (Hypergraph(len(sector), tuple(edges)),
             tuple(ctx.attributes[c] for c in sector))
 
@@ -201,40 +203,69 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
         order, full, _column_map(ctx, metrics), metrics.column_masks))
 
 
-def _sector_rules(cols: Sequence[int], down: Sequence[int], min_support: int,
-                  sector: tuple[list[int], int]) -> list[Flagged]:
-    """Minimal non-binary covers of column ``bo`` as flagged rules, where
-    ``sector`` is ``(edges, bo)`` with the edges over the columns
-    ``cols``.  The search starts from ``cols[bo]``, which holds every
-    premise's extent since the rules are exact, and cuts each branch
-    below ``min_support`` objects."""
-    edges, bo = sector
-    rules: list[Flagged] = []
+def _good_edges(edges: Sequence[int], rows: Sequence[int],
+                below: Sequence[int]) -> dict[int, int]:
+    """``good[x]``: the mask of the edges whose up-arrow row (``rows``, in
+    edge order) holds every column below x, for each vertex x of the
+    edges that some edge is not good for.  Only the rows' bits on the
+    columns below some vertex are read, and most columns are below none.
+    """
+    vertices = 0
+    for e in edges:
+        vertices |= e
+    lowered = [x for x in _bits(vertices) if below[x]]
+    lower = 0
+    for x in lowered:
+        lower |= below[x]
+    # holders[c]: the edges whose row holds column c
+    holders = dict.fromkeys(_bits(lower), 0)
+    for k, row in enumerate(rows):
+        for c in _bits(row & lower):
+            holders[c] |= 1 << k
+    every = (1 << len(edges)) - 1
+    good = {}
+    for x in lowered:
+        g = every
+        for c in _bits(below[x]):
+            g &= holders[c]
+        if g != every:
+            good[x] = g
+    return good
 
+
+def _sector_rules(cols: Sequence[int], below: Sequence[int], min_support: int,
+                  sector: tuple[list[int], list[int], int]) -> list[Flagged]:
+    """Minimal non-binary covers of column ``bo`` as flagged rules, where
+    ``sector`` is ``(edges, rows, bo)``: the edges and their up-arrow
+    rows over the columns ``cols``, whose ``below`` masks the columns
+    strictly below each.  The search starts from ``cols[bo]``, which
+    holds every premise's extent since the rules are exact, and cuts
+    each branch below ``min_support`` objects.
+
+    X -> b survives down-replacement iff each x in X has a critical edge
+    whose row holds below(x): every row lacking b lies in an up-arrow
+    row of b, and such a row holds X - x and lacks x exactly when its
+    edge is critical for x.  So the search flags each rule."""
+    edges, rows, bo = sector
     # no transversal is a singleton {c}: every up-arrow row of b, and so
     # every row lacking b, would lack c, so col(c) ⊊ col(b); yet c is in
     # the sector only for an object with an up arrow at b (so lacking b)
     # and a down arrow at c (so in every column strictly above col(c),
     # col(b) among them).  A full column has no up arrow, hence no edge,
     # and gets the empty premise.
-    for premise, ext in _transversals(edges, cols, cols[bo], min_support):
-        xs = tuple(sorted(premise))
-        rules.append((bo, xs, ext, _in_d_basis(cols, down, bo, xs)))
-    return rules
+    return [(bo, tuple(sorted(premise)), ext, flag)
+            for premise, ext, flag in _transversals(
+                edges, cols, cols[bo], min_support,
+                _good_edges(edges, rows, below))]
 
 
 # -- refinement ---------------------------------------------------------------
 
 
-def _down_extents(order: PartialOrder, orig: Sequence[int],
-                  removed: Sequence[int], metrics: BinaryContext) -> list[int]:
-    """``down[orig[k]]``: the extent in ``metrics`` of the attributes
-    strictly below the order's element k (0 for the ``removed`` columns,
-    which ``orig`` skips)."""
-    down = [0] * len(metrics.column_masks)
-    for k, below in enumerate(order.below_masks):
-        down[orig[k]] = metrics.extent_mask(_remap(below, removed))
-    return down
+def _down_extents(ctx: BinaryContext, order: PartialOrder) -> list[int]:
+    """``down[k]``: the extent of the attributes strictly below ctx's
+    column k (``order`` is ctx's own)."""
+    return [ctx.extent_mask(below) for below in order.below_masks]
 
 
 def _in_d_basis(cols: Sequence[int], down: Sequence[int], b: int,
@@ -242,8 +273,9 @@ def _in_d_basis(cols: Sequence[int], down: Sequence[int], b: int,
     """Does xs -> b survive down-replacement?  The empty premise does.
 
     b is in the closure of a set iff the set's extent lies in b's column,
-    and the extent of X - x + below(x) is ext(X - x) & down[x].  Reduction
-    keeps the lattice, so both tables give the same closures.
+    and the extent of X - x + below(x) is ext(X - x) & down[x]
+    (``_down_extents``).  It needs no sector: the pipeline's search
+    reaches the same flags from its critical edges.
     """
     # suf[i]: extent of xs[i:]; pre: extent of xs[:i]; -1 is every object
     # (down[x] is a finite mask, so the test below stays finite)
@@ -270,7 +302,7 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     if order.elements != ctx.attributes:
         raise ValueError("order is not the attribute order of ctx")
     cols, aidx = ctx.column_masks, ctx.attribute_index
-    down = _down_extents(order, range(len(cols)), (), ctx)
+    down = _down_extents(ctx, order)
     return [Implication(r.premise, r.conclusion, r.support, r.premise_support,
                         len(r.premise) < 2 or _in_d_basis(
                             cols, down, aidx[r.conclusion],
@@ -455,18 +487,25 @@ class BasisStream:
             + _expansion_rules(self.record, ctx)
             if r[0] in self._targets
             and (r[2] & cols[r[0]]).bit_count() >= query.min_support)
-        self._down = _down_extents(self.order, orig, removed, ctx)
-        # conclusion column -> edges; orig is increasing, so remapping
-        # keeps the edges' order and the sectors come in column order
-        self._sectors = {
-            c: [_remap(e, removed) for e in _sector_edges(
-                self.reduced, self.arrows, _sector_mask(self.arrows, bj), bj)]
-            for bj, c in enumerate(orig) if c in self._targets}
+        # below[c]: the columns strictly below column c (0 if removed)
+        self._below = [0] * len(cols)
+        for k, below in enumerate(self.order.below_masks):
+            self._below[orig[k]] = _remap(below, removed)
+        # conclusion column -> its job: (edges, their up-arrow rows,
+        # column); orig is increasing, so remapping keeps the edges'
+        # order and the sectors come in column order
+        self._sectors = {}
+        for bj, c in enumerate(orig):
+            if c in self._targets:
+                pairs = _sector_edges(self.reduced, self.arrows,
+                                      _sector_mask(self.arrows, bj), bj)
+                self._sectors[c] = ([_remap(e, removed) for e, _ in pairs],
+                                    [_remap(r, removed) for _, r in pairs], c)
 
     def __iter__(self) -> Iterator[list[Flagged]]:
-        job = partial(_sector_rules, self.original.column_masks, self._down,
+        job = partial(_sector_rules, self.original.column_masks, self._below,
                       self.query.min_support)
-        jobs = [(edges, c) for c, edges in self._sectors.items()]
+        jobs = list(self._sectors.values())
         if self.worker_count > 1 and len(jobs) > 1:
             procs = min(self.worker_count, len(jobs))
             # chunks sized as Pool.map sizes them: one sector per task

@@ -13,6 +13,15 @@ vertex, so every yielded set is minimal by construction, and yields a
 child that covers the last edges in place, without pushing it.  The
 candidate-set bookkeeping yields each minimal transversal exactly once.
 
+Each transversal comes with a flag read off the same critical edges:
+given a mask of "good" edges per vertex, it is True iff every chosen
+vertex has a good critical edge.  The rule pipeline marks an edge good
+for x when its up-arrow row holds every column below x, which makes the
+flag the D-basis flag (Adaricheva, Nation & Rand, "Ordered direct
+implicational basis of a finite closure system", 2013).  The children
+that would lose that property are found by one more mask per node, built
+at the node's first leaf, so the flag costs one mask test per leaf.
+
 The search can also carry an extent: each node holds a start mask
 AND-ed with the chosen vertices' masks (in the rule pipeline, the
 conclusion's column and the premise columns of the original table).
@@ -23,14 +32,15 @@ it could yield would reach the floor, and the other branches go on.
 
 ``Hypergraph`` and its frozenset edges are the library and CLI edge:
 ``minimize``, ``dualize_streaming`` and ``dualize`` convert to masks,
-run the same ``_minimal`` and ``_transversals`` the rule pipeline runs
-on its sector masks, and convert back.
+run ``_minimal`` (which puts the edges in the ``_search_order`` the rule
+pipeline gives its sector masks) and the same ``_transversals``, and
+convert back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .context import _bits, _transpose
 
@@ -72,14 +82,20 @@ def _edge_masks(h: Hypergraph, op: str) -> tuple[list[int], list[int]]:
     return ids, [sum(1 << rank[v] for v in e) for e in h.edges]
 
 
-def _minimal(edges: Iterable[int]) -> list[int]:
-    """The distinct inclusion-minimal masks, by size then vertex order."""
+def _search_order(edges: Iterable[int]) -> list[int]:
+    """The masks by size, then vertex list: the order the search
+    branches best in."""
     # bin(e)[:1:-1] spells e's bits lowest first, so among masks of one
     # size the vertex order is the reverse string order (and cheap)
-    ordered = sorted(set(edges), key=lambda e: bin(e)[:1:-1], reverse=True)
+    ordered = sorted(edges, key=lambda e: bin(e)[:1:-1], reverse=True)
     ordered.sort(key=int.bit_count)
+    return ordered
+
+
+def _minimal(edges: Iterable[int]) -> list[int]:
+    """The distinct inclusion-minimal masks, in ``_search_order``."""
     kept: list[int] = []
-    for e in ordered:
+    for e in _search_order(set(edges)):
         if all(k & ~e for k in kept):
             kept.append(e)
     return kept
@@ -93,9 +109,10 @@ def minimize(h: Hypergraph) -> Hypergraph:
 
 
 def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
-                  start: int = 0, floor: int = 0
-                  ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(chosen, extent)`` per minimal transversal.
+                  start: int = 0, floor: int = 0,
+                  good: Mapping[int, int] | None = None
+                  ) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+    """Yield ``(chosen, extent, flag)`` per minimal transversal.
 
     ``edges`` are vertex masks; an edge 0 has no transversal and no
     edge gives the empty one.  ``chosen`` is a tuple of the
@@ -104,14 +121,25 @@ def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
     default).  Only transversals with at least ``floor`` extent bits are
     yielded, in the order they come without a floor.
 
+    ``good`` maps a vertex to a mask over edge positions, the edges good
+    for it; a vertex it lacks has every edge good.  The flag is True iff
+    every chosen vertex has a good critical edge, so without ``good``
+    every flag is True.  (In the rule pipeline an edge is good for x
+    when its up-arrow row holds every column below x, and the flag is
+    the D-basis flag.)
+
     Per node a ``forbid`` mask skips the children that would leave a
-    chosen vertex redundant, and a child that covers every edge is a leaf.
+    chosen vertex redundant, and a child that covers every edge is a
+    leaf.  At the node's first leaf that meets the floor a ``kill`` mask,
+    built like ``forbid``, takes the children that would leave a chosen
+    vertex of ``good`` without a good critical edge.
     """
     if start.bit_count() < floor:
         return
     if not edges:
-        yield (), start
+        yield (), start, True
         return
+    good = good or {}
     n = max(edges).bit_length()
     vert_edges = _transpose(edges, n)
     masks = [0] * n if masks is None else masks
@@ -147,6 +175,7 @@ def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
                 f &= edges[low.bit_length() - 1]
             forbid |= f
         todo = best_c & ~forbid
+        kill = None  # built at the first leaf: most nodes have none
         while todo:
             low = todo & -todo
             todo ^= low
@@ -163,8 +192,25 @@ def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
                     # stay available to the later branches
                     stack.append((chosen + (v,), left,
                                   cand | best_c & (low - 1), ne, kept))
-                else:
-                    yield chosen + (v,), ne
+                    continue
+                if kill is None:
+                    # kill: the candidates hitting every good critical
+                    # edge of some chosen vertex; for a vertex good lacks
+                    # those are in forbid, so only good's vertices count
+                    kill = 0
+                    for x, cu in zip(chosen, crit):
+                        if x in good:
+                            cu &= good[x]
+                            f = best_c
+                            while cu and f:
+                                e = cu & -cu
+                                cu ^= e
+                                f &= edges[e.bit_length() - 1]
+                            kill |= f
+                # v's critical edges are the uncovered ones
+                g = good.get(v)
+                yield (chosen + (v,), ne,
+                       not kill & low and (g is None or uncov & g != 0))
 
 
 def dualize_streaming(h: Hypergraph,
@@ -178,7 +224,7 @@ def dualize_streaming(h: Hypergraph,
     """
     ids, edges = _edge_masks(h, "dualize_streaming")
     count = 0
-    for chosen, _ext in _transversals(_minimal(edges)):
+    for chosen, _ext, _flag in _transversals(_minimal(edges)):
         sink(frozenset(ids[k] for k in chosen))
         count += 1
     return count

@@ -16,10 +16,11 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     dualize_streaming, evaluation_order, expand_to_original,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (BASIS_KINDS, _down_extents, _remap, _sector_edges,
-                          _sector_rules, canonical_sort, format_rule_jsonl,
-                          format_rule_text, leave_k_out_groups, render_lines)
-from dbasis.dualization import _transversals
+from dbasis.basis import (BASIS_KINDS, _down_extents, _in_d_basis, _remap,
+                          _sector_edges, _sector_rules, canonical_sort,
+                          format_rule_jsonl, format_rule_text,
+                          leave_k_out_groups, render_lines)
+from dbasis.dualization import _minimal, _transversals
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
 from helpers import (GOLDEN_CSV, golden_context, random_context,
@@ -158,16 +159,22 @@ def test_order_pairs_covers_and_binary_part_match_the_definition():
     assert seen_transitive
 
 
+def sector_job(ctx, arrows, d, bj):
+    """Column bj's job for ``_sector_rules`` on ctx itself: its edges,
+    their up-arrow rows, and bj."""
+    pairs = _sector_edges(ctx, arrows, d.sector_masks[bj], bj)
+    return [e for e, _ in pairs], [row for _, row in pairs], bj
+
+
 def sector_keys(ctx, arrows, d, b):
     """(premise labels, conclusion label) of the kernel's rules for b,
     measured on ctx itself."""
     labels, cols = ctx.attributes, ctx.column_masks
-    down = _down_extents(attribute_order(ctx), range(len(labels)), (), ctx)
-    bj = ctx.attribute_index[b]
+    below = attribute_order(ctx).below_masks
     return [(frozenset(labels[j] for j in xs), labels[c])
             for c, xs, _, _ in _sector_rules(
-                cols, down, 0,
-                (_sector_edges(ctx, arrows, d.sector_masks[bj], bj), bj))]
+                cols, below, 0,
+                sector_job(ctx, arrows, d, ctx.attribute_index[b]))]
 
 
 def test_remap_moves_each_bit_to_its_kept_column():
@@ -223,8 +230,8 @@ def test_no_sector_has_a_one_column_transversal():
         ctx = (with_reducible_rows_and_columns(rng) if t % 2 else
                random_context(rng, rng.randint(1, 8), rng.randint(1, 8),
                               rng.choice((0.3, 0.5, 0.7))))
-        for edges in BasisStream(ctx)._sectors.values():
-            assert all(len(xs) >= 2 for xs, _ in _transversals(edges)), t
+        for edges, _, _ in BasisStream(ctx)._sectors.values():
+            assert all(len(xs) >= 2 for xs, _, _ in _transversals(edges)), t
         # the argument needs a clarified table only, not a reduced one
         ctx = clarified(ctx)
         unreduced += (len(reduce_context(ctx)[0].attributes)
@@ -232,10 +239,10 @@ def test_no_sector_has_a_one_column_transversal():
         arrows = compute_arrows(ctx)
         d = compute_d_relation(arrows)
         cols = ctx.column_masks
-        down = _down_extents(attribute_order(ctx), range(len(cols)), (), ctx)
+        below = attribute_order(ctx).below_masks
         for bj in range(len(cols)):
-            edges = _sector_edges(ctx, arrows, d.sector_masks[bj], bj)
-            for _, xs, _, _ in _sector_rules(cols, down, 0, (edges, bj)):
+            for _, xs, _, _ in _sector_rules(
+                    cols, below, 0, sector_job(ctx, arrows, d, bj)):
                 assert len(xs) != 1, (t, bj, xs)
     assert unreduced > 100
 
@@ -258,11 +265,25 @@ def with_reducible_rows_and_columns(rng):
                          [[row[j] for j in perm] for row in rows])
 
 
+def with_order_pairs(rng):
+    """A random table plus columns that each hold an earlier column and
+    some more rows, so that many columns lie below others."""
+    n = rng.randint(6, 10)
+    cols = [[int(rng.random() < 0.35) for _ in range(n)]
+            for _ in range(rng.randint(4, 8))]
+    for _ in range(rng.randint(6, 12)):
+        cols.append([x | (rng.random() < 0.25) for x in rng.choice(cols)])
+    rng.shuffle(cols)
+    return BinaryContext([f"o{i}" for i in range(n)],
+                         [f"a{j}" for j in range(len(cols))],
+                         [[int(col[i]) for col in cols] for i in range(n)])
+
+
 def test_sector_edges_keep_one_edge_per_up_arrow_row():
     # b's up-arrow rows g, h are incomparable: above a column in h but not
     # in g, a maximal column that g lacks has a down arrow at g, so it is
     # in b's sector and in g's edge but not h's.  The edges are thus an
-    # antichain, and _minimal in _sector_edges only orders them.
+    # antichain, so _sector_edges keeps them all, in _minimal's order.
     rng = random.Random(71)
     several = 0  # columns with two or more up-arrow rows
     for t in range(400):
@@ -274,13 +295,64 @@ def test_sector_edges_keep_one_edge_per_up_arrow_row():
         d = compute_d_relation(arrows)
         for bj, sector in enumerate(d.sector_masks):
             up = arrows.up_cols[bj]
-            edges = _sector_edges(ctx, arrows, sector, bj)
+            pairs = _sector_edges(ctx, arrows, sector, bj)
+            edges = [e for e, _ in pairs]
             assert len(edges) == up.bit_count(), (t, bj)
             assert sorted(edges) == sorted(
                 sector & ~ctx.row_masks[i] for i in range(len(ctx.objects))
                 if up >> i & 1), (t, bj)
+            # each edge with its own up-arrow row, in the search's order
+            assert sorted(row for _, row in pairs) == sorted(
+                ctx.row_masks[i] for i in range(len(ctx.objects))
+                if up >> i & 1), (t, bj)
+            assert all(e == sector & ~row for e, row in pairs), (t, bj)
+            assert edges == _minimal(edges), (t, bj)
             several += up.bit_count() > 1
     assert several > 900
+
+
+def test_search_flags_match_the_refinement_formula_and_the_oracle():
+    # The search flags a transversal from its critical edges and the
+    # good-edge masks; _in_d_basis and the oracle's exhaustive
+    # down-replacement flag it from closures.  Tables with many order
+    # pairs have many sector vertices with columns below them; a third
+    # of the tables also have removed columns.
+    rng = random.Random(89)
+    checked = refined = pairs = 0
+    for t in range(360):
+        ctx = [with_order_pairs, with_reducible_rows_and_columns,
+               lambda rng: random_context(rng, rng.randint(5, 10),
+                                          rng.randint(6, 14), 0.7)][t % 3](rng)
+        stream = BasisStream(ctx)
+        reduced, order = stream.reduced, stream.order
+        ridx = reduced.attribute_index
+        down = _down_extents(reduced, order)
+        labels, cols = ctx.attributes, ctx.column_masks
+        pairs += sum(below.bit_count() for below in order.below_masks)
+        want = {}  # (conclusion, premise) -> flag, from the floor-0 run
+        for floor in range(3):
+            for edges, rows, c in stream._sectors.values():
+                rules = _sector_rules(cols, stream._below, floor,
+                                      (edges, rows, c))
+                # without good masks the same search flags every one True
+                plain = list(_transversals(edges, cols, cols[c], floor, {}))
+                assert [(tuple(sorted(xs)), ext) for xs, ext, _ in plain] == [
+                    (xs, ext) for _, xs, ext, _ in rules], (t, floor, c)
+                assert all(flag for _, _, flag in plain), (t, floor, c)
+                for _, xs, _, flag in rules:
+                    if floor:
+                        assert flag == want[c, xs], (t, floor, c, xs)
+                        continue
+                    premise = frozenset(labels[x] for x in xs)
+                    assert flag == _in_d_basis(
+                        reduced.column_masks, down, ridx[labels[c]],
+                        [ridx[a] for a in premise]), (t, c, xs)
+                    assert flag != replacement_excluded(
+                        reduced, order, premise, labels[c]), (t, c, xs)
+                    want[c, xs] = flag
+                    checked += 1
+                    refined += not flag
+    assert checked > 8000 and refined > 1500 and pairs > 1800
 
 
 def public_rebuild_lines(ctx, query, jsonl):
@@ -557,9 +629,9 @@ def test_stream_dualizes_no_sector_ahead_of_its_group(monkeypatch):
     calls = []
     real = dbasis.basis._sector_rules
 
-    def counted(cols, down, min_support, sector):
-        calls.append(sector[1])
-        return real(cols, down, min_support, sector)
+    def counted(cols, below, min_support, sector):
+        calls.append(sector[2])
+        return real(cols, below, min_support, sector)
 
     monkeypatch.setattr(dbasis.basis, "_sector_rules", counted)
     rng = random.Random(61)
@@ -653,8 +725,9 @@ def test_support_floor_prunes_without_changing_the_output():
             # the sector covers meet the floor without a later filter
             stream = BasisStream(ctx, RuleQuery(min_support=k))
             cols = ctx.column_masks
-            for c, edges in stream._sectors.items():
-                for r in _sector_rules(cols, stream._down, k, (edges, c)):
+            for edges, rows, c in stream._sectors.values():
+                for r in _sector_rules(cols, stream._below, k,
+                                       (edges, rows, c)):
                     assert (r[2] & cols[c]).bit_count() >= k, (t, k, r)
             if t % 8 == 0:
                 parallel = compute_basis(

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -195,6 +196,22 @@ def test_run_workers_do_not_change_stdout(golden_file, capsys):
     assert main(["run", golden_file, "--workers", "8"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel == "\n".join(GOLDEN_TEXT_RULES) + "\n"
+
+
+def test_run_minimal_covers_bytes_on_a_table_with_many_lower_columns(
+        tmp_path, capsys):
+    # 38 of the 51 reduced columns have a column below them, so the
+    # search flags many covers False through a chosen vertex's critical
+    # edges, not only through the last vertex's; the digest and counts
+    # were recorded from the per-rule refinement pass
+    path = write_csv(random_context(random.Random(2), 16, 60, 0.8),
+                     tmp_path / "lower.csv")
+    assert main(["run", "--basis", "minimal-covers", path]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "14f97486f9381a746139c412f82668b312c21d203c1dc6fdedf569b610f87b4d")
+    assert ("minimal covers: 10696 (d-basis 7963, refined away 2733)\n"
+            in captured.err)
 
 
 def test_run_parse_error(tmp_path, capsys):

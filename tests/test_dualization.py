@@ -109,29 +109,51 @@ def edge_masks(h):
     return [sum(1 << v for v in e) for e in h.edges]
 
 
+def has_good_critical_edges(edges, xs, good):
+    """Every vertex x of xs has an edge that only x hits among xs and
+    that good[x] holds (every edge when good lacks x)."""
+    for x in xs:
+        others = sum(1 << v for v in xs if v != x)
+        g = good.get(x, -1)
+        if not any(g >> k & 1 and e >> x & 1 and not e & others
+                   for k, e in enumerate(edges)):
+            return False
+    return True
+
+
 def check_kernel(h, want, rng):
     """The kernel on h yields each transversal of ``want`` once, carries
-    the extents of random masks, and filters that sequence by a floor.
-    The yielded tuples are kept as they are, so a search that reused or
-    changed one after yielding it would fail here."""
+    the extents of random masks, flags by random good-edge masks, and
+    filters that sequence by a floor.  The yielded tuples are kept as
+    they are, so a search that reused or changed one after yielding it
+    would fail here."""
     edges = edge_masks(h)
-    plain = [xs for xs, ext in _transversals(edges)]
+    plain = [xs for xs, ext, flag in _transversals(edges)]
     assert all(type(xs) is tuple for xs in plain)
     assert len(plain) == len(set(map(frozenset, plain)))
     assert set(map(frozenset, plain)) == want
+    # no good masks: every edge is good, and every flag True
+    assert all(flag for _, _, flag in _transversals(edges))
+    good = {v: rng.getrandbits(len(edges)) for v in range(h.vertex_count)
+            if rng.random() < 0.6}
+    flagged = list(_transversals(edges, good=good))
+    assert [xs for xs, _, _ in flagged] == plain
+    assert [flag for _, _, flag in flagged] == [
+        has_good_critical_edges(edges, xs, good) for xs in plain]
     masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
     start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
-    carried = list(_transversals(edges, masks=masks, start=start))
-    assert [xs for xs, _ in carried] == plain
-    for xs, ext in carried:
+    carried = list(_transversals(edges, masks=masks, start=start, good=good))
+    assert [(xs, flag) for xs, _, flag in carried] == [
+        (xs, flag) for xs, _, flag in flagged]
+    for xs, ext, _ in carried:
         want_ext = start
         for v in xs:
             want_ext &= masks[v]
         assert ext == want_ext
     for floor in range(within.bit_count() + 2):
         got = list(_transversals(edges, masks=masks, start=start & within,
-                                 floor=floor))
-        assert got == [(xs, ext & within) for xs, ext in carried
+                                 floor=floor, good=good))
+        assert got == [(xs, ext & within, flag) for xs, ext, flag in carried
                        if (ext & within).bit_count() >= floor]
 
 
@@ -158,22 +180,28 @@ def test_kernel_on_hypergraphs_deep_enough_to_reject_redundant_children():
 
 
 def test_single_edge_gives_one_vertex_leaves_at_the_root():
-    assert list(_transversals([0b111])) == [((0,), 0), ((1,), 0), ((2,), 0)]
+    assert list(_transversals([0b111])) == [((0,), 0, True), ((1,), 0, True),
+                                            ((2,), 0, True)]
     masks = [0b001, 0b011, 0b111]
     assert list(_transversals([0b111], masks=masks, start=0b111,
-                              floor=2)) == [((1,), 0b011), ((2,), 0b111)]
+                              floor=2)) == [((1,), 0b011, True),
+                                            ((2,), 0b111, True)]
     assert list(_transversals([0b111], masks=masks, start=0b111,
-                              floor=3)) == [((2,), 0b111)]
+                              floor=3)) == [((2,), 0b111, True)]
+    # a root leaf's one critical edge is the edge itself
+    assert list(_transversals([0b111], good={0: 0, 2: 1})) == [
+        ((0,), 0, False), ((1,), 0, True), ((2,), 0, True)]
 
 
 def test_floor_argument_checks():
     assert list(_transversals([], masks=[1, 2], start=3, floor=3)) == []
-    assert list(_transversals([], masks=[1, 2], start=3, floor=2)) == [((), 3)]
-    assert list(_transversals([])) == [((), 0)]
+    assert list(_transversals([], masks=[1, 2], start=3, floor=2)) == [
+        ((), 3, True)]
+    assert list(_transversals([])) == [((), 0, True)]
 
 
 def test_kernel_emits_vertex_ids_and_no_transversal_of_an_empty_edge():
-    got = [sorted(xs) for xs, _ in _transversals([0b011, 0b110])]
+    got = [sorted(xs) for xs, _, _ in _transversals([0b011, 0b110])]
     assert sorted(got) == [[0, 2], [1]]
     assert list(_transversals([0b1, 0])) == []
     assert list(_transversals([0])) == []
@@ -188,7 +216,8 @@ def test_vertex_ids_past_bit_64_and_128():
         h = Hypergraph.from_edges(edges)
         want = edge_sets(berge_dual(h))
         # the kernel on the ids as given; the library renumbers them
-        assert {frozenset(xs) for xs, _ in _transversals(edge_masks(h))} == want
+        assert {frozenset(xs)
+                for xs, _, _ in _transversals(edge_masks(h))} == want
         assert edge_sets(dualize(h)) == want
         seen = []
         assert dualize_streaming(h, seen.append) == len(want)
