@@ -38,10 +38,10 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .context import BinaryContext, ReductionRecord, _bits, reduce_context
+from .context import BinaryContext, ReductionRecord, _bits, _reduce
 from .dualization import Hypergraph, _minimal, _search_order, _transversals
 from .lattice import (ArrowTable, DRelation, PartialOrder, _sector_mask,
-                      attribute_order, compute_arrows)
+                      attribute_order)
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
@@ -469,9 +469,11 @@ class BasisStream:
         _check_query(ctx, query)
         self.original, self.query = ctx, query
         self.worker_count = worker_count or os.cpu_count() or 1
-        self.reduced, self.record = reduce_context(ctx)
+        self.reduced, self.record, kept_arrows = _reduce(ctx)
         self.order = attribute_order(self.reduced)
-        self.arrows = compute_arrows(self.reduced)
+        up_cols, down_cols = kept_arrows()
+        self.arrows = ArrowTable(self.reduced.attributes, self.reduced.objects,
+                                 tuple(up_cols), tuple(down_cols))
         self.sector_counts: dict[str, int] = {}
         self.candidate_count = self.refined_count = 0
 

@@ -96,6 +96,8 @@ def compute_arrows(ctx: BinaryContext) -> ArrowTable:
     (j, i) gets an up arrow when row i is intent-maximal among rows
     lacking j, and a down arrow when no column strictly above j is also
     absent from row i; ``_arrow_fold`` computes both, as reduction does.
+    ``BasisStream`` cuts the reduction's fold to the kept table instead
+    of calling this.
     """
     _check_clarified(ctx)
     up_rows, down_cols = _arrow_fold(ctx)

@@ -5,8 +5,11 @@ import pytest
 
 from dbasis import (BinaryContext, ParseError, ReductionRecord, parse_context,
                     parse_dense_csv, parse_fimi, reduce_context)
-from dbasis.context import (_strict_supersets, _supersets_by_bits,
-                            _supersets_pairwise, _transpose)
+from dbasis import context
+from dbasis.context import (_bits, _lacked_by_all_above, _ones,
+                            _strict_supersets, _supersets_by_bits,
+                            _supersets_pairwise, _transpose,
+                            _transpose_by_bytes, _transpose_by_walk)
 from dbasis.oracle import enumerate_concepts
 
 from helpers import (GOLDEN_CSV, GOLDEN_OBJECTS, GOLDEN_ROWS, golden_context,
@@ -78,6 +81,37 @@ def test_parse_fimi_trailing_blanks_and_interior_empty():
 def test_parse_fimi_rejects(text):
     with pytest.raises(ParseError):
         parse_fimi(text)
+
+
+def _parse_fimi_line_by_line(text):
+    """The rows and item labels of a FIMI text, read one line at a time."""
+    rows = [set(map(int, ln.split())) for ln in text.splitlines()]
+    while rows and not rows[-1]:
+        rows.pop()
+    universe = sorted(set().union(*rows))
+    return ([sum(1 << universe.index(i) for i in row) for row in rows],
+            tuple(map(str, universe)))
+
+
+@pytest.mark.parametrize("text", [
+    "1 01 001\n2\n",              # one item under three spellings
+    "3 1\t2\x0b4\x0c5\x1c6\x1d7\x1e8\x1f9\r10\r\n11\n",
+    "1\x852\u20283\u20294\n",      # line breaks only splitlines knows
+    "12 3 3 12\n\n7\n\n",
+])
+def test_parse_fimi_reads_separators_and_spellings_as_a_line_walk_does(text):
+    ctx = parse_fimi(text)
+    rows, attributes = _parse_fimi_line_by_line(text)
+    assert ctx.row_masks == tuple(rows)
+    assert ctx.attributes == attributes
+
+
+def test_parse_fimi_names_the_first_bad_line():
+    for text, line in (("1\n2 0\n3 x\n", 2), ("1\n2 x\n0\n", 2),
+                       ("1\n\n00\n", 3), ("1\xa02\n", 1),
+                       ("1\n2\n3 -4\n", 3)):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_fimi(text)
 
 
 def test_parse_context_dispatch():
@@ -186,7 +220,10 @@ def test_restrict_wide_table_cell_by_cell():
     ctx = random_context(rng, 150, 130, 0.5)
     obj_idx = rng.sample(range(150), 100)
     attr_idx = rng.sample(range(130), 90)
-    for objs, attrs in ((obj_idx, attr_idx), ([], attr_idx), (obj_idx, [])):
+    # every column or every row in order takes a shortcut; test it too
+    for objs, attrs in ((obj_idx, attr_idx), ([], attr_idx), (obj_idx, []),
+                        (obj_idx, range(130)), (range(150), attr_idx),
+                        (range(150), range(130)), (range(150), [])):
         sub = ctx.restrict(objs, attrs)
         assert sub.objects == tuple(ctx.objects[i] for i in objs)
         assert sub.attributes == tuple(ctx.attributes[j] for j in attrs)
@@ -308,6 +345,101 @@ def test_strict_supersets_by_bits_and_pairwise_agree():
     assert 40 < pairwise_picked < 360
 
 
+def _transpose_by_cells(masks, width):
+    return [sum((m >> j & 1) << i for i, m in enumerate(masks))
+            for j in range(width)]
+
+
+def _random_masks(rng, n, width, density):
+    return [sum(1 << j for j in range(width) if rng.random() < density)
+            for _ in range(n)]
+
+
+def test_transpose_forms_match_the_per_cell_reference(monkeypatch):
+    # no masks, width 0 and 1, widths on and off a byte boundary, all-zero
+    # and all-one masks, then random ones sparse and dense enough for
+    # both sides of the switch
+    rng = random.Random(31)
+    shapes = [([], 0), ([], 1), ([], 9), ([0], 0), ([0, 0, 0], 0),
+              ([0], 1), ([1], 1), ([1, 0, 1], 1)]
+    for width in (1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 130, 700):
+        for n in (1, 2, 8, 9, 70):
+            shapes.append(([0] * n, width))
+            shapes.append(([(1 << width) - 1] * n, width))
+            for density in (0.003, 0.02, 0.5, 0.97):
+                shapes.append((_random_masks(rng, n, width, density), width))
+    picked = []
+    for form in ("_transpose_by_bytes", "_transpose_by_walk"):
+        monkeypatch.setattr(context, form, lambda masks, width, f=getattr(
+            context, form): picked.append(f.__name__) or f(masks, width))
+    for masks, width in shapes:
+        want = _transpose_by_cells(masks, width)
+        assert _transpose_by_bytes(masks, width) == want, (masks, width)
+        assert _transpose_by_walk(masks, width) == want, (masks, width)
+        assert _transpose(masks, width) == want, (masks, width)
+        assert _transpose(want, len(masks)) == list(masks)
+    assert picked.count("_transpose_by_bytes") > 100
+    assert picked.count("_transpose_by_walk") > 50
+    # a tall dense table goes through the bytes, a wide sparse one walks
+    picked.clear()
+    _transpose(_random_masks(rng, 300, 40, 0.85), 40)
+    _transpose(_random_masks(rng, 40, 2000, 0.002), 2000)
+    assert picked == ["_transpose_by_bytes", "_transpose_by_walk"]
+
+
+def test_ones_lists_the_set_bits_on_both_sides_of_its_switch():
+    rng = random.Random(37)
+    masks = [0, 1, 2, 3, 1 << 200, (1 << 200) - 1, (1 << 64) | 1]
+    for width in (1, 8, 17, 64, 65, 300, 2000):
+        for density in (0.01, 0.05, 0.07, 0.2, 0.9):
+            masks += _random_masks(rng, 3, width, density)
+    forms = set()
+    for m in masks:
+        ones = _ones(m)
+        forms.add(type(ones).__name__)
+        assert list(ones) == [j for j in range(m.bit_length()) if m >> j & 1]
+        assert list(_ones(m)) == list(_bits(m))
+    assert forms == {"generator", "compress"}
+
+
+def test_superset_fold_and_up_arrows_match_per_bit_references():
+    # masks from 1 bit in 200 to nearly full, so the fold walks some masks
+    # and reads others off their bin string, and each mask's lacked
+    # positions are tested against the masks above it or those are AND-ed
+    rng = random.Random(41)
+    tested = folded = 0
+    for t in range(250):
+        width = rng.choice([1, 9, 12, 40, 200])
+        n = rng.randint(0, 40)
+        # one density for the whole table (a dense one has many masks
+        # above each), or one per mask
+        table_density = rng.choice([0.8, 0.9, None])
+        masks = []
+        for _ in range(n):
+            base = rng.choice(masks) if masks else 0
+            density = table_density or rng.choice([0.005, 0.1, 0.9])
+            fresh = _random_masks(rng, 1, width, density)[0]
+            masks.append(rng.choice([base | fresh, base & fresh, fresh]))
+        holders = _transpose_by_cells(masks, width)
+        above = [sum(1 << i for i, other in enumerate(masks)
+                     if i != k and mk & ~other == 0)
+                 for k, mk in enumerate(masks)]
+        assert _supersets_by_bits(masks, holders) == above, t
+        # the arrow fold's tables are clarified: no two masks equal
+        distinct = list(dict.fromkeys(masks))
+        holders = _transpose_by_cells(distinct, width)
+        above = _supersets_pairwise(distinct)
+        want = [sum(1 << b for b in range(width) if not mk >> b & 1
+                    and all(distinct[i] >> b & 1 for i in _bits(up)))
+                for mk, up in zip(distinct, above)]
+        assert _lacked_by_all_above(distinct, holders, width) == want, t
+        for mk, up in zip(distinct, above):
+            lack = width - mk.bit_count()
+            tested += lack < up.bit_count()
+            folded += lack >= up.bit_count()
+    assert tested > 100 and folded > 100
+
+
 def test_reduce_golden():
     reduced, record = reduce_context(golden_context())
     assert reduced.objects == ("1", "2", "3", "4")
@@ -391,3 +523,28 @@ def test_reduce_wide_table_matches_the_fixpoint_reference():
     assert record.attribute_substitutions
     assert len(reduced.objects) < len(ctx.objects)
     assert (reduced, record) == _fixpoint_reduction(ctx)
+
+
+@pytest.mark.parametrize("shape", ["tall-dense", "wide-sparse"])
+def test_reduction_of_tall_dense_and_wide_sparse_tables_matches_the_fixpoint(
+        shape):
+    # tall dense tables transpose through packed bytes, wide sparse rows
+    # are walked; both have rows and columns to drop
+    rng = random.Random(43 if shape == "tall-dense" else 47)
+    dropped_rows = dropped_cols = 0
+    for _ in range(6):
+        if shape == "tall-dense":
+            n, m, density = 240, rng.randint(8, 14), 0.8
+        else:
+            n, m, density = rng.randint(20, 40), 500, 0.012
+        rows = [[int(rng.random() < density) for _ in range(m)]
+                for _ in range(n)]
+        for row in rows:  # columns that are intersections of two others
+            row += [row[a] & row[b] for a, b in ((0, 1), (2, 3), (1, 4))]
+        ctx = BinaryContext([f"o{i}" for i in range(n)],
+                            [f"a{j}" for j in range(m + 3)], rows)
+        reduced, record = reduce_context(ctx)
+        assert (reduced, record) == _fixpoint_reduction(ctx)
+        dropped_rows += len(reduced.objects) < len(ctx.objects)
+        dropped_cols += len(reduced.attributes) < len(ctx.attributes)
+    assert dropped_rows and dropped_cols

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from dbasis import (Hypergraph, attribute_order, compute_arrows,
+from dbasis import (BasisStream, Hypergraph, attribute_order, compute_arrows,
                     compute_d_relation, minimize, object_order,
                     reduce_context, render_arrow_table, sector_hypergraph,
                     up_objects)
+from dbasis.context import _reduce
 from dbasis.oracle import arrows_via_lattice, brute_d_sectors
 
 from helpers import golden_context, random_context, reduced_golden_context
@@ -76,6 +77,29 @@ def test_arrows_match_lattice_oracle():
         assert arrows.down == oracle_down
 
 
+def _arrows_by_cells(ctx):
+    """The up and down (attribute, object) pairs of ``compute_arrows``'s
+    docstring definitions, evaluated one cell at a time."""
+    objs, attrs = ctx.objects, ctx.attributes
+    rows, cols = ctx.row_masks, ctx.column_masks
+    rows_above = [[k for k, rk in enumerate(rows)
+                   if rk != r and rk & r == r] for r in rows]
+    cols_above = [[k for k, ck in enumerate(cols)
+                   if ck != c and ck & c == c] for c in cols]
+    up, down = set(), set()
+    for i, g in enumerate(objs):
+        for j, a in enumerate(attrs):
+            if ctx.has(g, a):
+                continue
+            # row i is intent-maximal among the rows lacking a
+            if all(ctx.has(objs[k], a) for k in rows_above[i]):
+                up.add((a, g))
+            # no column strictly above a is absent from row i
+            if all(ctx.has(g, attrs[k]) for k in cols_above[j]):
+                down.add((a, g))
+    return up, down
+
+
 def test_wide_masks_match_per_cell_definitions():
     # Past 64 objects and 64 attributes every mask spans several machine
     # words.  The lattice oracle stops at 20 attributes, so the docstring
@@ -85,22 +109,7 @@ def test_wide_masks_match_per_cell_definitions():
                                                0.04))
         objs, attrs = ctx.objects, ctx.attributes
         assert len(objs) > 64 and len(attrs) > 64
-        rows, cols = ctx.row_masks, ctx.column_masks
-        rows_above = [[k for k, rk in enumerate(rows)
-                       if rk != r and rk & r == r] for r in rows]
-        cols_above = [[k for k, ck in enumerate(cols)
-                       if ck != c and ck & c == c] for c in cols]
-        up, down = set(), set()
-        for i, g in enumerate(objs):
-            for j, a in enumerate(attrs):
-                if ctx.has(g, a):
-                    continue
-                # row i is intent-maximal among the rows lacking a
-                if all(ctx.has(objs[k], a) for k in rows_above[i]):
-                    up.add((a, g))
-                # no column strictly above a is absent from row i
-                if all(ctx.has(g, attrs[k]) for k in cols_above[j]):
-                    down.add((a, g))
+        up, down = _arrows_by_cells(ctx)
         arrows = compute_arrows(ctx)
         assert arrows.up == up
         assert arrows.down == down
@@ -121,6 +130,45 @@ def test_wide_masks_match_per_cell_definitions():
                      for g in objs if (b, g) in up]
             expected = minimize(Hypergraph(len(labels), tuple(edges)))
             assert sector_hypergraph(ctx, arrows, d, b) == (expected, labels)
+
+
+@pytest.mark.parametrize("shape", ["tall-dense", "wide-sparse"])
+def test_arrows_of_tall_dense_and_wide_sparse_tables_match_the_definitions(
+        shape):
+    # the tall dense tables transpose through packed bytes and test each
+    # row's few lacked columns; the wide sparse ones walk their bits
+    rng = random.Random(53 if shape == "tall-dense" else 59)
+    for _ in range(4):
+        ctx = (random_context(rng, 300, rng.randint(10, 16), 0.85)
+               if shape == "tall-dense"
+               else random_context(rng, rng.randint(30, 60), 400, 0.015))
+        reduced, _, kept_arrows = _reduce(ctx)
+        up_cols, down_cols = kept_arrows()
+        arrows = compute_arrows(reduced)
+        assert (arrows.up, arrows.down) == _arrows_by_cells(reduced)
+        assert (tuple(up_cols), tuple(down_cols)) == (arrows.up_cols,
+                                                      arrows.down_cols)
+
+
+def test_reduction_fold_cut_to_the_kept_table_gives_its_arrows():
+    # BasisStream takes its arrows from the reduction's own fold of the
+    # clarified table instead of folding the reduced one again
+    rng = random.Random(61)
+    cut_rows = cut_cols = 0
+    for t in range(400):
+        ctx = random_context(rng, rng.randint(0, 12), rng.randint(0, 10),
+                             rng.choice([0.2, 0.5, 0.7, 0.9]))
+        reduced, record, kept_arrows = _reduce(ctx)
+        assert (reduced, record) == reduce_context(ctx), t
+        up_cols, down_cols = kept_arrows()
+        arrows = compute_arrows(reduced)
+        assert tuple(up_cols) == arrows.up_cols, t
+        assert tuple(down_cols) == arrows.down_cols, t
+        if t % 40 == 0:
+            assert BasisStream(ctx).arrows == arrows, t
+        cut_rows += len(set(ctx.row_masks)) > len(reduced.objects)
+        cut_cols += len(set(ctx.column_masks)) > len(reduced.attributes)
+    assert cut_rows > 100 and cut_cols > 100
 
 
 def test_up_objects_golden():
