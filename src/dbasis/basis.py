@@ -38,10 +38,10 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .context import BinaryContext, ReductionRecord, _bits, _reduce
+from .context import BinaryContext, ReductionRecord, _bits, _ones
 from .dualization import Hypergraph, _minimal, _search_order, _transversals
-from .lattice import (ArrowTable, DRelation, PartialOrder, _sector_mask,
-                      attribute_order)
+from .lattice import (ArrowTable, DRelation, PartialOrder, _reduce_with_arrows,
+                      _sector_mask, attribute_order)
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
@@ -129,20 +129,20 @@ class RuleQuery:
 # -- sector extraction -------------------------------------------------------
 
 
-def _sector_edges(ctx: BinaryContext, arrows: ArrowTable, sector: int,
-                  bj: int) -> list[tuple[int, int]]:
-    """Column bj's dualization instance (``sector`` is its sector mask):
-    masks over ctx's columns, each paired with its up-arrow row.
+def _sector_edges(rows: Sequence[int], up: int,
+                  sector: int) -> list[tuple[int, int]]:
+    """A column's dualization instance: ``sector`` is its sector mask and
+    ``up`` masks its up-arrow rows among ``rows``.  The edges are masks
+    over the rows' columns, each paired with its up-arrow row.
 
-    For every object with an up arrow at bj the edge is the part of the
-    sector NOT held by it.  A transversal therefore meets every such
-    object's complement, which is exactly the condition for the premise
-    to imply bj's attribute.  Distinct up-arrow rows give distinct
-    edges, already an antichain, so none is dropped; they come in
-    ``_search_order``.
+    For every object with an up arrow at the column the edge is the part
+    of the sector NOT held by it.  A transversal therefore meets every
+    such object's complement, which is exactly the condition for the
+    premise to imply the column's attribute.  Distinct up-arrow rows give
+    distinct edges, already an antichain, so none is dropped; they come
+    in ``_search_order``.
     """
-    rows = ctx.row_masks
-    row_of = {sector & ~rows[i]: rows[i] for i in _bits(arrows.up_cols[bj])}
+    row_of = {sector & ~rows[i]: rows[i] for i in _bits(up)}
     return [(e, row_of[e]) for e in _search_order(row_of)]
 
 
@@ -160,8 +160,8 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
     if not sector:
         raise EmptySectorError(f"attribute {b!r} has no nontrivial covers")
     vid = {c: k for k, c in enumerate(sector)}
-    edges = [frozenset(vid[c] for c in _bits(e))
-             for e, _ in _sector_edges(ctx, arrows, d.sector_masks[bj], bj)]
+    edges = [frozenset(vid[c] for c in _bits(e)) for e, _ in _sector_edges(
+        ctx.row_masks, arrows.up_cols[bj], d.sector_masks[bj])]
     return (Hypergraph(len(sector), tuple(edges)),
             tuple(ctx.attributes[c] for c in sector))
 
@@ -169,17 +169,6 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
 def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
     """``orig[k]``: the column of ``original`` that is ``reduced``'s column k."""
     return [original.attribute_index[a] for a in reduced.attributes]
-
-
-def _remap(mask: int, removed: Iterable[int]) -> int:
-    """A mask over the columns a table kept, moved onto all its columns:
-    bit j goes to the j-th kept column.  ``removed`` lists the others in
-    ascending order; the kept ones keep their order, so a zero bit goes
-    in at each removed column."""
-    for r in removed:
-        low = (1 << r) - 1
-        mask = (mask & low) | ((mask & ~low) << 1)
-    return mask
 
 
 def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
@@ -207,29 +196,18 @@ def _good_edges(edges: Sequence[int], rows: Sequence[int],
                 below: Sequence[int]) -> dict[int, int]:
     """``good[x]``: the mask of the edges whose up-arrow row (``rows``, in
     edge order) holds every column below x, for each vertex x of the
-    edges that some edge is not good for.  Only the rows' bits on the
-    columns below some vertex are read, and most columns are below none.
-    """
+    edges that some edge is not good for."""
     vertices = 0
     for e in edges:
         vertices |= e
-    lowered = [x for x in _bits(vertices) if below[x]]
-    lower = 0
-    for x in lowered:
-        lower |= below[x]
-    # holders[c]: the edges whose row holds column c
-    holders = dict.fromkeys(_bits(lower), 0)
-    for k, row in enumerate(rows):
-        for c in _bits(row & lower):
-            holders[c] |= 1 << k
     every = (1 << len(edges)) - 1
     good = {}
-    for x in lowered:
-        g = every
-        for c in _bits(below[x]):
-            g &= holders[c]
-        if g != every:
-            good[x] = g
+    for x in _bits(vertices):
+        if below[x]:
+            g = sum(1 << k for k, row in enumerate(rows)
+                    if not below[x] & ~row)
+            if g != every:
+                good[x] = g
     return good
 
 
@@ -469,16 +447,12 @@ class BasisStream:
         _check_query(ctx, query)
         self.original, self.query = ctx, query
         self.worker_count = worker_count or os.cpu_count() or 1
-        self.reduced, self.record, kept_arrows = _reduce(ctx)
+        self.reduced, self.record, self.arrows = _reduce_with_arrows(ctx)
         self.order = attribute_order(self.reduced)
-        up_cols, down_cols = kept_arrows()
-        self.arrows = ArrowTable(self.reduced.attributes, self.reduced.objects,
-                                 tuple(up_cols), tuple(down_cols))
         self.sector_counts: dict[str, int] = {}
         self.candidate_count = self.refined_count = 0
 
         orig, cols = _column_map(self.reduced, ctx), ctx.column_masks
-        removed = sorted(set(range(len(cols))).difference(orig))
         # the conclusions the query asks for, in column order
         self._targets = (range(len(cols)) if query.target is None
                          else [ctx.attribute_index[query.target]])
@@ -489,20 +463,29 @@ class BasisStream:
             + _expansion_rules(self.record, ctx)
             if r[0] in self._targets
             and (r[2] & cols[r[0]]).bit_count() >= query.min_support)
+        # a mask over the reduced columns moves onto the original ones a
+        # set bit at a time: lift[k] is reduced column k's original bit
+        lift = [1 << c for c in orig]
         # below[c]: the columns strictly below column c (0 if removed)
         self._below = [0] * len(cols)
         for k, below in enumerate(self.order.below_masks):
-            self._below[orig[k]] = _remap(below, removed)
+            self._below[orig[k]] = sum(map(lift.__getitem__, _ones(below)))
         # conclusion column -> its job: (edges, their up-arrow rows,
-        # column); orig is increasing, so remapping keeps the edges'
-        # order and the sectors come in column order
+        # column), built on the original columns.  Reduction only drops
+        # rows and columns, so a reduced row is its label's row cut to the
+        # kept columns.  orig is increasing, so the edges come in the
+        # reduced table's order and the sectors in column order.
+        kept = sum(lift)
+        rows = [ctx.row_masks[ctx.object_index[g]] & kept
+                for g in self.reduced.objects]
         self._sectors = {}
         for bj, c in enumerate(orig):
             if c in self._targets:
-                pairs = _sector_edges(self.reduced, self.arrows,
-                                      _sector_mask(self.arrows, bj), bj)
-                self._sectors[c] = ([_remap(e, removed) for e, _ in pairs],
-                                    [_remap(r, removed) for _, r in pairs], c)
+                sector = sum(map(lift.__getitem__,
+                                 _ones(_sector_mask(self.arrows, bj))))
+                pairs = _sector_edges(rows, self.arrows.up_cols[bj], sector)
+                self._sectors[c] = ([e for e, _ in pairs],
+                                    [row for _, row in pairs], c)
 
     def __iter__(self) -> Iterator[list[Flagged]]:
         job = partial(_sector_rules, self.original.column_masks, self._below,

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .context import (BinaryContext, _arrow_fold, _bits, _strict_supersets,
-                      _transpose)
+from .context import (BinaryContext, ReductionRecord, _arrow_fold, _bits,
+                      _reduce, _strict_supersets, _transpose)
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,24 @@ def compute_arrows(ctx: BinaryContext) -> ArrowTable:
     (j, i) gets an up arrow when row i is intent-maximal among rows
     lacking j, and a down arrow when no column strictly above j is also
     absent from row i; ``_arrow_fold`` computes both, as reduction does.
-    ``BasisStream`` cuts the reduction's fold to the kept table instead
-    of calling this.
+    ``BasisStream`` and ``dbasis arrows`` cut the reduction's fold to the
+    kept table instead of calling this (``_reduce_with_arrows``).
     """
     _check_clarified(ctx)
     up_rows, down_cols = _arrow_fold(ctx)
     return ArrowTable(ctx.attributes, ctx.objects,
                       tuple(_transpose(up_rows, len(down_cols))),
                       tuple(down_cols))
+
+
+def _reduce_with_arrows(ctx: BinaryContext
+                        ) -> tuple[BinaryContext, ReductionRecord, ArrowTable]:
+    """``reduce_context`` and the reduced table's ``compute_arrows``, cut
+    from the reduction's own fold, so the table is folded once."""
+    reduced, record, kept_arrows = _reduce(ctx)
+    up_cols, down_cols = kept_arrows()
+    return reduced, record, ArrowTable(reduced.attributes, reduced.objects,
+                                       tuple(up_cols), tuple(down_cols))
 
 
 def up_objects(arrows: ArrowTable, b: str) -> set[str]:

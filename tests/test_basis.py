@@ -16,7 +16,7 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     dualize_streaming, evaluation_order, expand_to_original,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (BASIS_KINDS, _down_extents, _in_d_basis, _remap,
+from dbasis.basis import (BASIS_KINDS, _down_extents, _in_d_basis,
                           _sector_edges, _sector_rules, canonical_sort,
                           format_rule_jsonl, format_rule_text,
                           leave_k_out_groups, render_lines)
@@ -162,7 +162,8 @@ def test_order_pairs_covers_and_binary_part_match_the_definition():
 def sector_job(ctx, arrows, d, bj):
     """Column bj's job for ``_sector_rules`` on ctx itself: its edges,
     their up-arrow rows, and bj."""
-    pairs = _sector_edges(ctx, arrows, d.sector_masks[bj], bj)
+    pairs = _sector_edges(ctx.row_masks, arrows.up_cols[bj],
+                          d.sector_masks[bj])
     return [e for e, _ in pairs], [row for _, row in pairs], bj
 
 
@@ -177,16 +178,38 @@ def sector_keys(ctx, arrows, d, b):
                 sector_job(ctx, arrows, d, ctx.attribute_index[b]))]
 
 
-def test_remap_moves_each_bit_to_its_kept_column():
-    # the definition, one bit at a time: bit j goes to the j-th kept column
+def test_stream_jobs_are_the_reduced_tables_own_on_the_original_columns():
+    # BasisStream builds each job on the original columns; moving the
+    # reduced table's own job there, bit j to orig[j], must give it
     rng = random.Random(103)
-    for _ in range(2000):
-        width = rng.randint(0, 90)
-        kept = sorted(rng.sample(range(width), rng.randint(0, width)))
-        removed = sorted(set(range(width)) - set(kept))
-        mask = rng.getrandbits(len(kept))
-        want = sum(1 << kept[j] for j in range(len(kept)) if mask >> j & 1)
-        assert _remap(mask, removed) == want, (kept, mask)
+    tables = [random_context(rng, rng.randint(5, 40), rng.randint(50, 160),
+                             0.015) for _ in range(200)]
+    tables.append(random_context(random.Random(59), 37, 400, 0.015))
+    most_removed = 0
+    for t, ctx in enumerate(tables):
+        reduced, _ = reduce_context(ctx)
+        arrows = compute_arrows(reduced)
+        d = compute_d_relation(arrows)
+        orig = [ctx.attribute_index[a] for a in reduced.attributes]
+
+        def move(mask):
+            return sum(1 << orig[j] for j in range(len(orig)) if mask >> j & 1)
+
+        jobs = {}
+        for bj, c in enumerate(orig):
+            pairs = _sector_edges(reduced.row_masks, arrows.up_cols[bj],
+                                  d.sector_masks[bj])
+            jobs[c] = ([move(e) for e, _ in pairs],
+                       [move(row) for _, row in pairs], c)
+        below = [0] * len(ctx.attributes)
+        for k, mask in enumerate(attribute_order(reduced).below_masks):
+            below[orig[k]] = move(mask)
+        stream = BasisStream(ctx)
+        assert stream._sectors == jobs, t
+        assert list(stream._sectors) == orig, t
+        assert stream._below == below, t
+        most_removed += 2 * len(orig) < len(ctx.attributes)
+    assert most_removed > len(tables) // 2
 
 
 def test_sector_rules_golden():
@@ -295,7 +318,7 @@ def test_sector_edges_keep_one_edge_per_up_arrow_row():
         d = compute_d_relation(arrows)
         for bj, sector in enumerate(d.sector_masks):
             up = arrows.up_cols[bj]
-            pairs = _sector_edges(ctx, arrows, sector, bj)
+            pairs = _sector_edges(ctx.row_masks, up, sector)
             edges = [e for e, _ in pairs]
             assert len(edges) == up.bit_count(), (t, bj)
             assert sorted(edges) == sorted(

@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 
 import dbasis.cli
-from dbasis import (BasisStream, BinaryContext, RuleQuery, compute_basis,
-                    leave_k_out_rules, parse_context)
+from dbasis import (BasisStream, BinaryContext, RuleQuery, compute_arrows,
+                    compute_basis, leave_k_out_rules, parse_context,
+                    reduce_context, render_arrow_table)
 from dbasis.basis import (format_rule_jsonl, format_rule_text,
                           leave_k_out_groups, render_line, render_lines)
 from dbasis.cli import build_parser, main
@@ -330,6 +331,24 @@ def test_arrows_subcommand(golden_file, capsys):
         "3 ↑  ↑  1  ↕  1\n"
         "4 ↕  ↓  ↓  1  1\n"
     )
+
+
+def test_arrows_subcommand_prints_the_reduced_tables_own_arrows(tmp_path,
+                                                                capsys):
+    # the subcommand cuts the reduction's fold instead of folding the
+    # reduced table again; the arrows must be the reduced table's own
+    rng = random.Random(113)
+    dropped_both = 0
+    for t in range(60):
+        n, m = rng.randint(3, 14), rng.randint(3, 14)
+        ctx = random_context(rng, n, m, rng.choice((0.3, 0.5, 0.7)))
+        reduced, _ = reduce_context(ctx)
+        dropped_both += (len(reduced.objects) < n
+                         and len(reduced.attributes) < m)
+        assert main(["arrows", write_csv(ctx, tmp_path / f"{t}.csv")]) == 0
+        assert capsys.readouterr().out == render_arrow_table(
+            reduced, compute_arrows(reduced)) + "\n", t
+    assert dropped_both > 10
 
 
 def test_concepts_subcommand(tmp_path, capsys):
