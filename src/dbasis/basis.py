@@ -38,10 +38,10 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .context import BinaryContext, ReductionRecord, _bits, _ones
+from .context import (ArrowTable, BinaryContext, ReductionRecord, _bits, _ones,
+                      _reduce)
 from .dualization import Hypergraph, _minimal, _search_order, _transversals
-from .lattice import (ArrowTable, DRelation, PartialOrder, _reduce_with_arrows,
-                      _sector_mask, attribute_order)
+from .lattice import DRelation, PartialOrder, _sector_mask, attribute_order
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
@@ -172,11 +172,14 @@ def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
 
 
 def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
-                  cols: Sequence[int]) -> list[Flagged]:
-    """Order pairs as rules upper -> lower; ``orig`` maps the order's
-    elements to the columns ``cols`` of the metrics table."""
+                  cols: Sequence[int],
+                  conclusions: Sequence[int]) -> list[Flagged]:
+    """Order pairs as rules upper -> lower that conclude one of the
+    columns ``conclusions``; ``orig`` maps the order's elements to the
+    columns ``cols`` of the metrics table."""
     return [(orig[lo], (orig[up],), cols[orig[up]], True)
-            for lo, up in order._index_pairs(not full)]
+            for lo, up in order._index_pairs(not full)
+            if orig[lo] in conclusions]
 
 
 def binary_part(ctx: BinaryContext, order: PartialOrder, *,
@@ -189,7 +192,8 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
     """
     metrics = metrics_ctx or ctx
     return _implications(metrics, _binary_rules(
-        order, full, _column_map(ctx, metrics), metrics.column_masks))
+        order, full, _column_map(ctx, metrics), metrics.column_masks,
+        range(len(metrics.attributes))))
 
 
 def _good_edges(edges: Sequence[int], rows: Sequence[int],
@@ -291,21 +295,23 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
 # -- re-expansion -------------------------------------------------------------
 
 
-def _expansion_rules(record: ReductionRecord,
-                     metrics: BinaryContext) -> list[Flagged]:
+def _expansion_rules(record: ReductionRecord, metrics: BinaryContext,
+                     conclusions: Sequence[int]) -> list[Flagged]:
+    """``expand_to_original``'s rules that conclude one of the columns
+    ``conclusions`` (in column order) of ``metrics``."""
     subs = record.attribute_substitutions
     aidx, cols = metrics.attribute_index, metrics.column_masks
     out: list[Flagged] = []
     for a in sorted(subs, key=aidx.__getitem__):
         j = aidx[a]
         if a in record.saturated_attributes:
-            out += [(x, (j,), cols[j], True)
-                    for x in range(len(cols)) if x != j]
+            out += [(x, (j,), cols[j], True) for x in conclusions if x != j]
         else:
             xs = tuple(sorted(aidx[x] for x in subs[a]))
-            out.append((j, xs, metrics.extent_mask(sum(1 << x for x in xs)),
-                        True))
-            out += [(x, (j,), cols[j], True) for x in xs]
+            if j in conclusions:
+                ext = metrics.extent_mask(sum(1 << x for x in xs))
+                out.append((j, xs, ext, True))
+            out += [(x, (j,), cols[j], True) for x in xs if x in conclusions]
     return out
 
 
@@ -321,8 +327,8 @@ def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
     through those of its rules, i.e. not at all, matching the
     reduction's bookkeeping.  Rules are measured on ``metrics_ctx``.
     """
-    return list(rules) + _implications(
-        metrics_ctx, _expansion_rules(record, metrics_ctx))
+    return list(rules) + _implications(metrics_ctx, _expansion_rules(
+        record, metrics_ctx, range(len(metrics_ctx.attributes))))
 
 
 # -- closure evaluation --------------------------------------------------------
@@ -447,7 +453,7 @@ class BasisStream:
         _check_query(ctx, query)
         self.original, self.query = ctx, query
         self.worker_count = worker_count or os.cpu_count() or 1
-        self.reduced, self.record, self.arrows = _reduce_with_arrows(ctx)
+        self.reduced, self.record, self.arrows = _reduce(ctx)
         self.order = attribute_order(self.reduced)
         self.sector_counts: dict[str, int] = {}
         self.candidate_count = self.refined_count = 0
@@ -459,10 +465,10 @@ class BasisStream:
         # the binary and expansion rules that meet the floor; the sector
         # covers meet it by construction
         self._binary_and_expansion = _by_conclusion(
-            r for r in _binary_rules(self.order, full_binary, orig, cols)
-            + _expansion_rules(self.record, ctx)
-            if r[0] in self._targets
-            and (r[2] & cols[r[0]]).bit_count() >= query.min_support)
+            r for r in _binary_rules(self.order, full_binary, orig, cols,
+                                     self._targets)
+            + _expansion_rules(self.record, ctx, self._targets)
+            if (r[2] & cols[r[0]]).bit_count() >= query.min_support)
         # a mask over the reduced columns moves onto the original ones a
         # set bit at a time: lift[k] is reduced column k's original bit
         lift = [1 << c for c in orig]

@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .basis import (BASIS_KINDS, RENDER_SLICE, BasisStream, RuleQuery,
                     leave_k_out_count, leave_k_out_groups, line_renderer)
-from .context import ParseError, parse_context
+from .context import ParseError, _reduce, parse_context
 from .dualization import dualize, format_edge_list, parse_edge_list
-from .lattice import _reduce_with_arrows, render_arrow_table
+from .lattice import render_arrow_table
 from .oracle import OracleSizeError, enumerate_concepts
 
 
@@ -94,7 +94,7 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
 
 def _cmd_arrows(args: argparse.Namespace) -> int:
     ctx = parse_context(_read(args.table), args.format)
-    reduced, _, arrows = _reduce_with_arrows(ctx)
+    reduced, _, arrows = _reduce(ctx)
     print(render_arrow_table(reduced, arrows))
     return 0
 

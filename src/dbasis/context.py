@@ -16,15 +16,19 @@ and meet-irreducible objects; the Galois lattice of the result is
 isomorphic to the original one.  A ``ReductionRecord`` keeps enough
 bookkeeping to translate rules computed on the reduced table back to
 the original attribute set.
+
+The arrow relations live here too (``ArrowTable``, ``compute_arrows``):
+the fold that picks the kept rows and columns, cut to them, is the
+reduced table's arrows, so ``_reduce`` returns those with the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress, repeat
 from operator import or_
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -459,6 +463,53 @@ def _arrow_fold(ctx: BinaryContext) -> tuple[list[int], list[int]]:
             _lacked_by_all_above(cols, rows, len(rows)))
 
 
+@dataclass(frozen=True)
+class ArrowTable:
+    """``up_cols[j]``, ``down_cols[j]``: object masks of column j's arrows;
+    ``up`` and ``down`` are (attribute, object) views, read by
+    ``perfbench/traced.py`` until the stats record replaces it."""
+
+    attributes: tuple[str, ...]
+    objects: tuple[str, ...]
+    up_cols: tuple[int, ...]
+    down_cols: tuple[int, ...]
+
+    def _pairs(self, cols: Iterable[int]) -> frozenset[tuple[str, str]]:
+        return frozenset((a, self.objects[i])
+                         for a, col in zip(self.attributes, cols) for i in _bits(col))
+
+    @property
+    def up(self) -> frozenset[tuple[str, str]]:
+        return self._pairs(self.up_cols)
+
+    @property
+    def down(self) -> frozenset[tuple[str, str]]:
+        return self._pairs(self.down_cols)
+
+
+def _check_clarified(ctx: BinaryContext):
+    if len(set(ctx.row_masks)) != len(ctx.row_masks):
+        raise ValueError("context has duplicate rows; reduce it first")
+    if len(set(ctx.column_masks)) != len(ctx.column_masks):
+        raise ValueError("context has duplicate columns; reduce it first")
+
+
+def compute_arrows(ctx: BinaryContext) -> ArrowTable:
+    """Up/down arrows of a reduced table.
+
+    (j, i) gets an up arrow when row i is intent-maximal among rows
+    lacking j, and a down arrow when no column strictly above j is also
+    absent from row i; ``_arrow_fold`` computes both, as reduction does.
+    ``BasisStream`` and ``dbasis arrows`` take the reduced table's arrows
+    from ``_reduce`` instead of calling this.
+    """
+    _check_clarified(ctx)
+    up_rows, down_cols = _arrow_fold(ctx)
+    return ArrowTable(ctx.attributes, ctx.objects,
+                      tuple(_transpose(up_rows, len(down_cols))),
+                      tuple(down_cols))
+
+
 def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
     """Clarify the table, then keep the columns with a down arrow and the
     rows with an up arrow.
@@ -474,30 +525,14 @@ def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
     return reduced, record
 
 
-def _kept_arrows(up_rows: Sequence[int], down_cols: Sequence[int],
-                 kept_rows: Sequence[int], kept_cols: Sequence[int]
-                 ) -> tuple[list[int], list[int]]:
-    """A clarified table's ``_arrow_fold`` cut to the kept rows and
-    columns: the up and down arrows of each kept column, as masks over
-    the kept rows (``ArrowTable``'s ``up_cols`` and ``down_cols``)."""
-    up = _transpose([up_rows[i] for i in kept_rows], len(down_cols))
-    down_cols = [down_cols[j] for j in kept_cols]
-    if len(kept_rows) < len(up_rows):
-        down = _transpose(down_cols, len(up_rows))
-        down_cols = _transpose([down[i] for i in kept_rows], len(kept_cols))
-    return [up[j] for j in kept_cols], down_cols
-
-
 def _reduce(ctx: BinaryContext
-            ) -> tuple[BinaryContext, ReductionRecord,
-                       Callable[[], tuple[list[int], list[int]]]]:
-    """``reduce_context``, plus a call that gives the reduced table's
-    ``up_cols`` and ``down_cols``, as ``compute_arrows`` does.
+            ) -> tuple[BinaryContext, ReductionRecord, ArrowTable]:
+    """``reduce_context`` and the reduced table's ``compute_arrows``.
 
-    The call cuts the reduction's own fold of the clarified table to the
-    kept rows and columns, so the reduced table is not folded again.  A
-    dropped row or column is the intersection of kept ones above it (or
-    the full one), so it changes no arrow between kept ones.
+    The arrows are the reduction's own fold of the clarified table cut
+    to the kept rows and columns, so the reduced table is not folded
+    again.  A dropped row or column is the intersection of kept ones
+    above it (or the full one), so it changes no arrow between kept ones.
     """
     first_col: dict[int, int] = {}
     for j, col in enumerate(ctx.column_masks):
@@ -511,7 +546,13 @@ def _reduce(ctx: BinaryContext
     kept_rows = [i for i, up in enumerate(up_rows) if up]
     kept_cols = [j for j, down in enumerate(down_cols) if down]
     reduced = clarified.restrict(kept_rows, kept_cols)
-    arrows = partial(_kept_arrows, up_rows, down_cols, kept_rows, kept_cols)
+    up = _transpose([up_rows[i] for i in kept_rows], len(down_cols))
+    down = [down_cols[j] for j in kept_cols]
+    if len(kept_rows) < len(up_rows):
+        down_rows = _transpose(down, len(up_rows))
+        down = _transpose([down_rows[i] for i in kept_rows], len(kept_cols))
+    arrows = ArrowTable(reduced.attributes, reduced.objects,
+                        tuple(up[j] for j in kept_cols), tuple(down))
 
     kept_omask = sum(1 << ctx.object_index[g] for g in reduced.objects)
     kept_amask = sum(1 << ctx.attribute_index[a] for a in reduced.attributes)

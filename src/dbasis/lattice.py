@@ -1,23 +1,23 @@
-"""Orders, arrow relations and the D-relation of a reduced table.
+"""Orders and the D-relation of a reduced table.
 
 On a reduced table the attributes are the join irreducibles of the
-Galois lattice and the objects its meet irreducibles, so the arrow
-relations can be read off the table itself: a cell (i, j) holds a 1
-exactly when j's lattice element lies below i's.  Everything here
-requires a reduced context; duplicate rows or columns are rejected
-outright, full irreducibility is the caller's contract.
+Galois lattice and the objects its meet irreducibles, so the orders
+can be read off the table itself: a cell (i, j) holds a 1 exactly when
+j's lattice element lies below i's.  The D-relation is read off its
+``ArrowTable`` (``context`` computes it).  Everything here requires a
+reduced context; duplicate rows or columns are rejected outright, full
+irreducibility is the caller's contract.
 
-Orders, arrows and sectors are stored as int bitmasks; their label
-forms (``arrows.up``, ``d.sectors``) are views built on demand.
+Orders and sectors are stored as int bitmasks; their label forms
+(``order.pairs()``, ``d.sectors``) are views built on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .context import (BinaryContext, ReductionRecord, _arrow_fold, _bits,
-                      _reduce, _strict_supersets, _transpose)
+from .context import (ArrowTable, BinaryContext, _bits, _check_clarified,
+                      _strict_supersets, _transpose)
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class PartialOrder:
                 for lo, up in self._index_pairs(False)}
 
 
-def _check_clarified(ctx: BinaryContext):
-    if len(set(ctx.row_masks)) != len(ctx.row_masks):
-        raise ValueError("context has duplicate rows; reduce it first")
-    if len(set(ctx.column_masks)) != len(ctx.column_masks):
-        raise ValueError("context has duplicate columns; reduce it first")
-
-
 def attribute_order(ctx: BinaryContext) -> PartialOrder:
     """c <= a iff every object carrying a also carries c."""
     _check_clarified(ctx)
@@ -64,56 +57,6 @@ def object_order(ctx: BinaryContext) -> PartialOrder:
     _check_clarified(ctx)
     above = _strict_supersets(ctx.row_masks, ctx.column_masks)
     return PartialOrder(ctx.objects, tuple(_transpose(above, len(above))))
-
-
-@dataclass(frozen=True)
-class ArrowTable:
-    """``up_cols[j]``, ``down_cols[j]``: object masks of column j's arrows;
-    ``up`` and ``down`` are (attribute, object) views, read by
-    ``perfbench/traced.py`` until the stats record replaces it."""
-
-    attributes: tuple[str, ...]
-    objects: tuple[str, ...]
-    up_cols: tuple[int, ...]
-    down_cols: tuple[int, ...]
-
-    def _pairs(self, cols: Iterable[int]) -> frozenset[tuple[str, str]]:
-        return frozenset((a, self.objects[i])
-                         for a, col in zip(self.attributes, cols) for i in _bits(col))
-
-    @property
-    def up(self) -> frozenset[tuple[str, str]]:
-        return self._pairs(self.up_cols)
-
-    @property
-    def down(self) -> frozenset[tuple[str, str]]:
-        return self._pairs(self.down_cols)
-
-
-def compute_arrows(ctx: BinaryContext) -> ArrowTable:
-    """Up/down arrows of a reduced table.
-
-    (j, i) gets an up arrow when row i is intent-maximal among rows
-    lacking j, and a down arrow when no column strictly above j is also
-    absent from row i; ``_arrow_fold`` computes both, as reduction does.
-    ``BasisStream`` and ``dbasis arrows`` cut the reduction's fold to the
-    kept table instead of calling this (``_reduce_with_arrows``).
-    """
-    _check_clarified(ctx)
-    up_rows, down_cols = _arrow_fold(ctx)
-    return ArrowTable(ctx.attributes, ctx.objects,
-                      tuple(_transpose(up_rows, len(down_cols))),
-                      tuple(down_cols))
-
-
-def _reduce_with_arrows(ctx: BinaryContext
-                        ) -> tuple[BinaryContext, ReductionRecord, ArrowTable]:
-    """``reduce_context`` and the reduced table's ``compute_arrows``, cut
-    from the reduction's own fold, so the table is folded once."""
-    reduced, record, kept_arrows = _reduce(ctx)
-    up_cols, down_cols = kept_arrows()
-    return reduced, record, ArrowTable(reduced.attributes, reduced.objects,
-                                       tuple(up_cols), tuple(down_cols))
 
 
 def up_objects(arrows: ArrowTable, b: str) -> set[str]:

@@ -562,6 +562,32 @@ def test_compute_basis_target_matches_filtered_full_run():
         want = [r for r in full.rules if r.conclusion == target]
         assert got == want
         assert [r.support for r in got] == [r.support for r in want]
+    # wide sparse tables lose most of their columns, many of them
+    # saturated (an all-zero column is), each of which has a rule for
+    # every other column; a targeted run builds only its target's rules
+    rng = random.Random(67)
+    removed = {True: 0, False: 0}  # saturated or not -> columns
+    targeted = {True: 0, False: 0}  # target saturated or not -> runs
+    for t in range(40):
+        ctx = random_context(rng, rng.randint(6, 20), rng.randint(30, 80),
+                             rng.choice([0.03, 0.05, 0.1]))
+        _, record = reduce_context(ctx)
+        saturated = record.saturated_attributes
+        for a in record.attribute_substitutions:
+            removed[a in saturated] += 1
+        targets = rng.sample(ctx.attributes, 5)
+        for kind, floor, full_binary in itertools.product(
+                BASIS_KINDS, (0, 1), (False, True)):
+            full = compute_basis(ctx, RuleQuery(min_support=floor,
+                                                basis_kind=kind),
+                                 full_binary=full_binary).packed
+            for target in targets:
+                c = ctx.attribute_index[target]
+                got = compute_basis(ctx, RuleQuery(target, floor, kind),
+                                    full_binary=full_binary).packed
+                assert got == [r for r in full if r[0] == c], (t, target)
+                targeted[target in saturated] += 1
+    assert min(removed.values()) > 300 and min(targeted.values()) > 300
 
 
 def test_compute_basis_min_support():

@@ -142,12 +142,10 @@ def test_arrows_of_tall_dense_and_wide_sparse_tables_match_the_definitions(
         ctx = (random_context(rng, 300, rng.randint(10, 16), 0.85)
                if shape == "tall-dense"
                else random_context(rng, rng.randint(30, 60), 400, 0.015))
-        reduced, _, kept_arrows = _reduce(ctx)
-        up_cols, down_cols = kept_arrows()
+        reduced, _, cut = _reduce(ctx)
         arrows = compute_arrows(reduced)
         assert (arrows.up, arrows.down) == _arrows_by_cells(reduced)
-        assert (tuple(up_cols), tuple(down_cols)) == (arrows.up_cols,
-                                                      arrows.down_cols)
+        assert cut == arrows
 
 
 def test_reduction_fold_cut_to_the_kept_table_gives_its_arrows():
@@ -158,12 +156,10 @@ def test_reduction_fold_cut_to_the_kept_table_gives_its_arrows():
     for t in range(400):
         ctx = random_context(rng, rng.randint(0, 12), rng.randint(0, 10),
                              rng.choice([0.2, 0.5, 0.7, 0.9]))
-        reduced, record, kept_arrows = _reduce(ctx)
+        reduced, record, cut = _reduce(ctx)
         assert (reduced, record) == reduce_context(ctx), t
-        up_cols, down_cols = kept_arrows()
         arrows = compute_arrows(reduced)
-        assert tuple(up_cols) == arrows.up_cols, t
-        assert tuple(down_cols) == arrows.down_cols, t
+        assert cut == arrows, t
         if t % 40 == 0:
             assert BasisStream(ctx).arrows == arrows, t
         cut_rows += len(set(ctx.row_masks)) > len(reduced.objects)
