@@ -38,8 +38,8 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .context import (ArrowTable, BinaryContext, ReductionRecord, _bits, _ones,
-                      _reduce)
+from .context import (ArrowTable, BinaryContext, ReductionRecord, _bits,
+                      _label_record, _ones, _reduce)
 from .dualization import Hypergraph, _minimal, _search_order, _transversals
 from .lattice import DRelation, PartialOrder, _sector_mask, attribute_order
 
@@ -166,11 +166,6 @@ def sector_hypergraph(ctx: BinaryContext, arrows: ArrowTable, d: DRelation,
             tuple(ctx.attributes[c] for c in sector))
 
 
-def _column_map(reduced: BinaryContext, original: BinaryContext) -> list[int]:
-    """``orig[k]``: the column of ``original`` that is ``reduced``'s column k."""
-    return [original.attribute_index[a] for a in reduced.attributes]
-
-
 def _binary_rules(order: PartialOrder, full: bool, orig: Sequence[int],
                   cols: Sequence[int],
                   conclusions: Sequence[int]) -> list[Flagged]:
@@ -192,8 +187,8 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
     """
     metrics = metrics_ctx or ctx
     return _implications(metrics, _binary_rules(
-        order, full, _column_map(ctx, metrics), metrics.column_masks,
-        range(len(metrics.attributes))))
+        order, full, [metrics.attribute_index[a] for a in ctx.attributes],
+        metrics.column_masks, range(len(metrics.attributes))))
 
 
 def _good_edges(edges: Sequence[int], rows: Sequence[int],
@@ -295,22 +290,21 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
 # -- re-expansion -------------------------------------------------------------
 
 
-def _expansion_rules(record: ReductionRecord, metrics: BinaryContext,
+def _expansion_rules(witness: Mapping[int, int], saturated: int,
+                     metrics: BinaryContext,
                      conclusions: Sequence[int]) -> list[Flagged]:
     """``expand_to_original``'s rules that conclude one of the columns
-    ``conclusions`` (in column order) of ``metrics``."""
-    subs = record.attribute_substitutions
-    aidx, cols = metrics.attribute_index, metrics.column_masks
+    ``conclusions`` (in column order) of ``metrics``, read off
+    ``_reduce``'s ``witness`` and ``saturated`` masks over its columns."""
+    cols = metrics.column_masks
     out: list[Flagged] = []
-    for a in sorted(subs, key=aidx.__getitem__):
-        j = aidx[a]
-        if a in record.saturated_attributes:
+    for j, mask in witness.items():
+        if saturated >> j & 1:
             out += [(x, (j,), cols[j], True) for x in conclusions if x != j]
         else:
-            xs = tuple(sorted(aidx[x] for x in subs[a]))
+            xs = tuple(_bits(mask))
             if j in conclusions:
-                ext = metrics.extent_mask(sum(1 << x for x in xs))
-                out.append((j, xs, ext, True))
+                out.append((j, xs, metrics.extent_mask(mask), True))
             out += [(x, (j,), cols[j], True) for x in xs if x in conclusions]
     return out
 
@@ -326,9 +320,14 @@ def expand_to_original(record: ReductionRecord, rules: Iterable[Implication],
     attribute; note such an attribute is reachable as a conclusion only
     through those of its rules, i.e. not at all, matching the
     reduction's bookkeeping.  Rules are measured on ``metrics_ctx``.
+    The record becomes ``_reduce``'s masks here, at the library's edge.
     """
+    aidx, subs = metrics_ctx.attribute_index, record.attribute_substitutions
+    witness = {aidx[a]: metrics_ctx._attr_mask(subs[a])
+               for a in sorted(subs, key=aidx.__getitem__)}
+    saturated = metrics_ctx._attr_mask(record.saturated_attributes)
     return list(rules) + _implications(metrics_ctx, _expansion_rules(
-        record, metrics_ctx, range(len(metrics_ctx.attributes))))
+        witness, saturated, metrics_ctx, range(len(metrics_ctx.attributes))))
 
 
 # -- closure evaluation --------------------------------------------------------
@@ -453,12 +452,13 @@ class BasisStream:
         _check_query(ctx, query)
         self.original, self.query = ctx, query
         self.worker_count = worker_count or os.cpu_count() or 1
-        self.reduced, self.record, self.arrows = _reduce(ctx)
+        (self.reduced, self.arrows, kept_rows, orig,
+         self._witness, self._saturated) = _reduce(ctx)
         self.order = attribute_order(self.reduced)
         self.sector_counts: dict[str, int] = {}
         self.candidate_count = self.refined_count = 0
 
-        orig, cols = _column_map(self.reduced, ctx), ctx.column_masks
+        cols = ctx.column_masks
         # the conclusions the query asks for, in column order
         self._targets = (range(len(cols)) if query.target is None
                          else [ctx.attribute_index[query.target]])
@@ -467,7 +467,8 @@ class BasisStream:
         self._binary_and_expansion = _by_conclusion(
             r for r in _binary_rules(self.order, full_binary, orig, cols,
                                      self._targets)
-            + _expansion_rules(self.record, ctx, self._targets)
+            + _expansion_rules(self._witness, self._saturated, ctx,
+                               self._targets)
             if (r[2] & cols[r[0]]).bit_count() >= query.min_support)
         # a mask over the reduced columns moves onto the original ones a
         # set bit at a time: lift[k] is reduced column k's original bit
@@ -478,12 +479,11 @@ class BasisStream:
             self._below[orig[k]] = sum(map(lift.__getitem__, _ones(below)))
         # conclusion column -> its job: (edges, their up-arrow rows,
         # column), built on the original columns.  Reduction only drops
-        # rows and columns, so a reduced row is its label's row cut to the
+        # rows and columns, so a reduced row is its input row cut to the
         # kept columns.  orig is increasing, so the edges come in the
         # reduced table's order and the sectors in column order.
         kept = sum(lift)
-        rows = [ctx.row_masks[ctx.object_index[g]] & kept
-                for g in self.reduced.objects]
+        rows = [ctx.row_masks[i] & kept for i in kept_rows]
         self._sectors = {}
         for bj, c in enumerate(orig):
             if c in self._targets:
@@ -567,8 +567,9 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
                          full_binary=full_binary)
     packed = [r for group in stream for r in group]
     return BasisResult(packed=packed, original=ctx, reduced=stream.reduced,
-                       record=stream.record, order=stream.order,
-                       arrows=stream.arrows,
+                       record=_label_record(ctx, stream._witness,
+                                            stream._saturated),
+                       order=stream.order, arrows=stream.arrows,
                        sector_counts=stream.sector_counts)
 
 

@@ -27,10 +27,9 @@ from .lattice import render_arrow_table
 from .oracle import OracleSizeError, enumerate_concepts
 
 
-def _read(path: str) -> str:
-    """The file or stdin (``-``) as UTF-8 text, whatever the locale says."""
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    return data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
+def _read(path: str) -> bytes:
+    """The file or stdin (``-``) as bytes, whatever the locale says."""
+    return sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
 
 
 def run(args: argparse.Namespace, out=None, err=None) -> int:
@@ -87,14 +86,16 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
 
 
 def _cmd_dualize(args: argparse.Namespace) -> int:
-    h = parse_edge_list(_read(args.edges))
+    # a table's bytes go to parse_context, which decodes them; an edge
+    # list is decoded here, its byte-order mark dropped
+    h = parse_edge_list(_read(args.edges).decode("utf-8").removeprefix("\ufeff"))
     sys.stdout.write(format_edge_list(dualize(h)))
     return 0
 
 
 def _cmd_arrows(args: argparse.Namespace) -> int:
     ctx = parse_context(_read(args.table), args.format)
-    reduced, _, arrows = _reduce(ctx)
+    reduced, arrows = _reduce(ctx)[:2]
     print(render_arrow_table(reduced, arrows))
     return 0
 
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # rules, tables and transversals go out as UTF-8 whatever the locale
-    # says, as ``_read`` takes them in
+    # says, as they are read in
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)

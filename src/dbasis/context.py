@@ -13,9 +13,9 @@ Reduction clarifies the table (drops duplicate columns, then duplicate
 rows), then keeps the columns with a down arrow and the rows with an up
 arrow, in one pass.  What remains are the join-irreducible attributes
 and meet-irreducible objects; the Galois lattice of the result is
-isomorphic to the original one.  A ``ReductionRecord`` keeps enough
-bookkeeping to translate rules computed on the reduced table back to
-the original attribute set.
+isomorphic to the original one.  ``_reduce`` returns masks over the
+input's columns that translate rules on the reduced table back to them;
+``ReductionRecord`` is their label view, built only for the library.
 
 The arrow relations live here too (``ArrowTable``, ``compute_arrows``):
 the fold that picks the kept rows and columns, cut to them, is the
@@ -512,7 +512,7 @@ def compute_arrows(ctx: BinaryContext) -> ArrowTable:
 
 def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
     """Clarify the table, then keep the columns with a down arrow and the
-    rows with an up arrow.
+    rows with an up arrow.  The record labels ``_reduce``'s masks.
 
     Kept attributes are exactly the join irreducibles of the Galois
     lattice, kept objects the meet irreducibles; the reduced lattice is
@@ -521,13 +521,23 @@ def reduce_context(ctx: BinaryContext) -> tuple[BinaryContext, ReductionRecord]:
     elements are irreducible, and never makes two distinct rows or
     columns equal.  Degenerate inputs may reduce to an empty table.
     """
-    reduced, record, _ = _reduce(ctx)
-    return reduced, record
+    reduced, _, _, _, witness, saturated = _reduce(ctx)
+    return reduced, _label_record(ctx, witness, saturated)
 
 
-def _reduce(ctx: BinaryContext
-            ) -> tuple[BinaryContext, ReductionRecord, ArrowTable]:
-    """``reduce_context`` and the reduced table's ``compute_arrows``.
+def _label_record(ctx: BinaryContext, witness: dict[int, int],
+                  saturated: int) -> ReductionRecord:
+    """The label view of ``_reduce``'s masks over ``ctx``'s columns."""
+    return ReductionRecord({ctx.attributes[j]: frozenset(ctx._attr_labels(m))
+                            for j, m in witness.items()},
+                           frozenset(ctx._attr_labels(saturated)))
+
+
+def _reduce(ctx: BinaryContext) -> tuple[
+        BinaryContext, ArrowTable, list[int], list[int], dict[int, int], int]:
+    """The reduced table, its ``compute_arrows``, the input's indices of
+    the kept rows and columns (both increasing), each removed column's
+    witness mask in column order, and the saturated columns' mask.
 
     The arrows are the reduction's own fold of the clarified table cut
     to the kept rows and columns, so the reduced table is not folded
@@ -554,28 +564,28 @@ def _reduce(ctx: BinaryContext
     arrows = ArrowTable(reduced.attributes, reduced.objects,
                         tuple(up[j] for j in kept_cols), tuple(down))
 
-    kept_omask = sum(1 << ctx.object_index[g] for g in reduced.objects)
-    kept_amask = sum(1 << ctx.attribute_index[a] for a in reduced.attributes)
-    kept_col = {ctx.column_masks[ctx.attribute_index[a]] & kept_omask: a
-                for a in reduced.attributes}
+    # the clarified table keeps each row's and column's first copy, in
+    # order, so the input's indices of the kept ones increase too
+    rows = list(compress(first_row.values(), up_rows))
+    cols = list(compress(first_col.values(), down_cols))
+    kept_omask = sum(1 << i for i in rows)
+    kept_amask = sum(1 << j for j in cols)
+    kept_col = {ctx.column_masks[j] & kept_omask: j for j in cols}
 
-    subs: dict[str, frozenset[str]] = {}
-    saturated = set()
-    for j, label in enumerate(ctx.attributes):
-        if label in reduced.attribute_index:
-            continue
+    witness: dict[int, int] = {}
+    saturated = 0
+    for j in _ones(((1 << len(ctx.attributes)) - 1) ^ kept_amask):
         col = ctx.column_masks[j] & kept_omask
         if col == kept_omask:
-            subs[label] = frozenset()  # full column: member of closure(∅)
+            witness[j] = 0  # full column: member of closure(∅)
         elif col in kept_col:
-            subs[label] = frozenset({kept_col[col]})
+            witness[j] = 1 << kept_col[col]
         else:
-            witness = ctx.intent_mask(col) & kept_amask
-            if witness == kept_amask:
-                saturated.add(label)
+            witness[j] = ctx.intent_mask(col) & kept_amask
+            if witness[j] == kept_amask:
+                saturated |= 1 << j
             else:
-                assert ctx.extent_mask(witness) & kept_omask == col, \
+                assert ctx.extent_mask(witness[j]) & kept_omask == col, \
                     "removed column is not expressible"
-            subs[label] = frozenset(ctx.attributes[w] for w in _bits(witness))
 
-    return reduced, ReductionRecord(subs, frozenset(saturated)), arrows
+    return reduced, arrows, rows, cols, witness, saturated

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import dbasis.basis
+import dbasis.context
 from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     Implication, RuleQuery, attribute_order, binary_part,
                     compute_arrows, compute_basis, compute_d_relation,
@@ -176,6 +177,24 @@ def sector_keys(ctx, arrows, d, b):
             for c, xs, _, _ in _sector_rules(
                 cols, below, 0,
                 sector_job(ctx, arrows, d, ctx.attribute_index[b]))]
+
+
+def test_a_stream_builds_no_label_record(monkeypatch):
+    # the stream reads the reduction's masks; only reduce_context and
+    # compute_basis's result.record build the label view
+    ctx = random_context(random.Random(59), 37, 400, 0.015)
+    record = compute_basis(ctx).record
+    assert record.saturated_attributes and len(
+        record.attribute_substitutions) > len(record.saturated_attributes)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ReductionRecord was built")
+
+    monkeypatch.setattr(dbasis.context, "ReductionRecord", refuse)
+    for query in (RuleQuery(), RuleQuery(target="a1")):
+        stream = BasisStream(ctx, query)
+        assert sum(map(len, stream)) > 0
+        assert not hasattr(stream, "record")
 
 
 def test_stream_jobs_are_the_reduced_tables_own_on_the_original_columns():
@@ -414,10 +433,15 @@ def public_rebuild_lines(ctx, query, jsonl):
 
 
 def test_public_function_rebuild_matches_the_pipeline():
+    # expand_to_original turns its label record into the masks the stream
+    # reads; the small wide sparse tables after the first 30 add many
+    # saturated removed columns to the others
     rng = random.Random(101)
-    removed = 0
-    for t in range(30):
-        ctx = with_reducible_rows_and_columns(rng)
+    saturated = unsaturated = 0
+    for t in range(36):
+        ctx = (with_reducible_rows_and_columns(rng) if t < 30
+               else random_context(rng, rng.randint(6, 12),
+                                   rng.randint(30, 60), 0.05))
         target = rng.choice(ctx.attributes)
         for query in (RuleQuery(), RuleQuery(min_support=2),
                       RuleQuery(target=target)):
@@ -426,8 +450,11 @@ def test_public_function_rebuild_matches_the_pipeline():
                 assert (public_rebuild_lines(ctx, query, jsonl)
                         == list(render_lines(ctx, result.packed, jsonl))
                         ), (t, query, jsonl)
-        removed += len(result.record.attribute_substitutions)
-    assert removed >= 60
+        record = result.record
+        saturated += len(record.saturated_attributes)
+        unsaturated += (len(record.attribute_substitutions)
+                        - len(record.saturated_attributes))
+    assert saturated >= 100 and unsaturated >= 100
 
 
 def test_packed_metrics_match_a_recount_on_reducible_tables():

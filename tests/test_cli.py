@@ -259,6 +259,20 @@ def test_inputs_with_a_byte_order_mark(tmp_path, monkeypatch, capsys):
     assert main(["run", "-", "--format", "fimi", "--target", "2"]) == 0
     assert capsys.readouterr().out == plain
     assert plain.startswith("-> 2 ")
+    # the CLI decodes a table only in parse_context, which drops one
+    # mark: a second one stays in the first label, by either route
+    twice = ("\ufeff\ufeff" + GOLDEN_CSV).encode("utf-8")
+    ctx = parse_context(twice, "dense-csv")
+    assert ctx.attributes[0] == "\ufeffb"
+    table.write_bytes(twice)
+    assert main(["run", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines() == list(
+        render_lines(ctx, compute_basis(ctx).packed))
+    monkeypatch.setattr(sys, "stdin", fake_stdin(twice))
+    assert main(["arrows", "-"]) == 0
+    reduced, _ = reduce_context(ctx)
+    assert capsys.readouterr().out == render_arrow_table(
+        reduced, compute_arrows(reduced)) + "\n"
 
 
 def test_stdin_is_utf8_whatever_the_locale_decodes(tmp_path, monkeypatch,

@@ -6,7 +6,7 @@ from dbasis import (BasisStream, Hypergraph, attribute_order, compute_arrows,
                     compute_d_relation, minimize, object_order,
                     reduce_context, render_arrow_table, sector_hypergraph,
                     up_objects)
-from dbasis.context import _reduce
+from dbasis.context import _label_record, _reduce
 from dbasis.oracle import arrows_via_lattice, brute_d_sectors
 
 from helpers import golden_context, random_context, reduced_golden_context
@@ -142,7 +142,7 @@ def test_arrows_of_tall_dense_and_wide_sparse_tables_match_the_definitions(
         ctx = (random_context(rng, 300, rng.randint(10, 16), 0.85)
                if shape == "tall-dense"
                else random_context(rng, rng.randint(30, 60), 400, 0.015))
-        reduced, _, cut = _reduce(ctx)
+        reduced, cut = _reduce(ctx)[:2]
         arrows = compute_arrows(reduced)
         assert (arrows.up, arrows.down) == _arrows_by_cells(reduced)
         assert cut == arrows
@@ -150,14 +150,18 @@ def test_arrows_of_tall_dense_and_wide_sparse_tables_match_the_definitions(
 
 def test_reduction_fold_cut_to_the_kept_table_gives_its_arrows():
     # BasisStream takes its arrows from the reduction's own fold of the
-    # clarified table instead of folding the reduced one again
+    # clarified table instead of folding the reduced one again, and its
+    # rows and columns by the input's indices that _reduce returns
     rng = random.Random(61)
     cut_rows = cut_cols = 0
     for t in range(400):
         ctx = random_context(rng, rng.randint(0, 12), rng.randint(0, 10),
                              rng.choice([0.2, 0.5, 0.7, 0.9]))
-        reduced, record, cut = _reduce(ctx)
-        assert (reduced, record) == reduce_context(ctx), t
+        reduced, cut, rows, cols, witness, saturated = _reduce(ctx)
+        assert rows == sorted(set(rows)) and cols == sorted(set(cols)), t
+        assert ctx.restrict(rows, cols) == reduced, t
+        assert ((reduced, _label_record(ctx, witness, saturated))
+                == reduce_context(ctx)), t
         arrows = compute_arrows(reduced)
         assert cut == arrows, t
         if t % 40 == 0:
