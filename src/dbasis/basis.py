@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -417,6 +418,63 @@ def _by_conclusion(rules: Iterable[Flagged]) -> dict[int, list[Flagged]]:
     return out
 
 
+def _work(job: Callable, jobs: Sequence, send) -> None:
+    """A sector worker: sends ``job(j)`` for each of ``jobs`` in turn down
+    the pipe end ``send``, and a failure as (exception, its traceback)."""
+    try:
+        for j in jobs:
+            send.send(job(j))
+    except Exception as exc:
+        import traceback
+        send.send((exc, traceback.format_exc()))
+
+
+def _in_workers(job: Callable, jobs: Sequence, procs: int) -> Iterator:
+    """``map(job, jobs)`` in ``procs`` worker processes that this
+    generator owns, each with one pipe.  Worker w runs jobs w, w + procs,
+    ... and sends each result as soon as it has it; job j is read from
+    worker j mod procs, so the results come in job order whatever procs
+    is.  A worker blocks while its pipe is full, so it runs about one job
+    ahead of the consumer.  A worker that fails or dies makes the
+    generator raise; closing it terminates and joins every worker."""
+    # imported here, so a serial run never loads it.  The start method is
+    # the platform's default, fork on Linux: a spawned worker starts a
+    # fresh interpreter and imports dbasis before its first job, which
+    # costs more than dualizing the dense-minsup-par table's sectors
+    import multiprocessing
+    workers = []
+    try:
+        for w in range(procs):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_work, args=(job, jobs[w::procs], send), daemon=True)
+            worker.start()
+            workers.append((worker, recv))
+            # the worker now holds the only write end, so its death reads
+            # as end of file, and no later worker inherits it
+            send.close()
+        for j in range(len(jobs)):
+            worker, recv = workers[j % procs]
+            try:
+                got = recv.recv()
+            except (EOFError, OSError):  # OSError: cut off mid-message
+                worker.join()
+                raise RuntimeError(
+                    f"sector worker {worker.pid} exited with code "
+                    f"{worker.exitcode} before sending job {j}") from None
+            if isinstance(got, tuple):
+                exc, trace = got
+                raise exc from RuntimeError(
+                    f"in sector worker {worker.pid}:\n{trace}")
+            yield got
+    finally:
+        for worker, _ in workers:
+            worker.terminate()
+        for worker, recv in workers:
+            worker.join()
+            recv.close()
+
+
 class BasisStream:
     """The pipeline on one table, yielding its rules a conclusion at a time.
 
@@ -434,9 +492,11 @@ class BasisStream:
     place the basis kind is applied; ``minimal-covers`` keeps them.
 
     Serially each sector is dualized when its group is due.  With
-    ``worker_count`` > 1 an ordered pool dualizes ahead of the consumer;
-    the iterator owns it, so closing the iterator early terminates it.
-    0 picks the machine's CPU count; a negative count is rejected.
+    ``worker_count`` > 1 that many worker processes (at most one per
+    sector) share the sectors round robin, each about one sector ahead
+    of the consumer (``_in_workers``); the iterator owns them, so
+    closing it early terminates them.  0 picks the machine's CPU count;
+    a negative count is rejected.
     ``sector_counts`` maps each dualized sector's attribute to its
     number of covers, in column order, as the iteration reaches it.
     ``candidate_count`` counts the rules before the basis kind is applied
@@ -497,14 +557,10 @@ class BasisStream:
         job = partial(_sector_rules, self.original.column_masks, self._below,
                       self.query.min_support)
         jobs = list(self._sectors.values())
-        if self.worker_count > 1 and len(jobs) > 1:
-            procs = min(self.worker_count, len(jobs))
-            # chunks sized as Pool.map sizes them: one sector per task
-            # costs more round trips than it saves in waiting
-            chunk = -(-len(jobs) // (4 * procs))
-            import multiprocessing  # here, so a serial run never loads it
-            with multiprocessing.Pool(procs) as pool:
-                yield from self._groups(pool.imap(job, jobs, chunk))
+        procs = min(self.worker_count, len(jobs))
+        if procs > 1:
+            with closing(_in_workers(job, jobs, procs)) as produced:
+                yield from self._groups(produced)
         else:
             yield from self._groups(map(job, jobs))
 
@@ -536,13 +592,16 @@ class BasisResult:
     ``packed`` holds the rules the query emits, in canonical order, as
     packed rules over the original table's columns: ``(conclusion,
     premise, ext, in_d_basis)``; ``render_lines`` prints them.  ``rules``
-    is the same list as ``Implication`` objects, built on first access.
+    is the same list as ``Implication`` objects, and ``record`` the
+    reduction's ``ReductionRecord`` read off ``_reduce``'s ``witness``
+    and ``saturated`` masks, each built on first access.
     """
 
     packed: list[Flagged]
     original: BinaryContext
     reduced: BinaryContext
-    record: ReductionRecord
+    witness: dict[int, int]
+    saturated: int
     order: PartialOrder
     arrows: ArrowTable
     sector_counts: dict[str, int]
@@ -550,6 +609,10 @@ class BasisResult:
     @cached_property
     def rules(self) -> list[Implication]:
         return _implications(self.original, self.packed)
+
+    @cached_property
+    def record(self) -> ReductionRecord:
+        return _label_record(self.original, self.witness, self.saturated)
 
 
 def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
@@ -567,8 +630,7 @@ def compute_basis(ctx: BinaryContext, query: RuleQuery | None = None, *,
                          full_binary=full_binary)
     packed = [r for group in stream for r in group]
     return BasisResult(packed=packed, original=ctx, reduced=stream.reduced,
-                       record=_label_record(ctx, stream._witness,
-                                            stream._saturated),
+                       witness=stream._witness, saturated=stream._saturated,
                        order=stream.order, arrows=stream.arrows,
                        sector_counts=stream.sector_counts)
 

@@ -1,8 +1,10 @@
+import contextlib
 import dataclasses
 import itertools
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -195,6 +197,22 @@ def test_a_stream_builds_no_label_record(monkeypatch):
         stream = BasisStream(ctx, query)
         assert sum(map(len, stream)) > 0
         assert not hasattr(stream, "record")
+
+
+def test_compute_basis_builds_its_record_on_first_read(monkeypatch):
+    ctx = random_context(random.Random(59), 37, 400, 0.015)
+    calls = []
+    real = dbasis.basis._label_record
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dbasis.basis, "_label_record", counted)
+    result = compute_basis(ctx, RuleQuery(target="a7"))
+    assert result.packed and not calls
+    assert result.record == reduce_context(ctx)[1]
+    assert result.record is result.record and len(calls) == 1
 
 
 def test_stream_jobs_are_the_reduced_tables_own_on_the_original_columns():
@@ -723,16 +741,74 @@ def test_stream_dualizes_no_sector_ahead_of_its_group(monkeypatch):
         assert calls == sectors
 
 
-def test_closing_a_stream_early_terminates_its_pool():
+def busy_workers_table():
+    """A table each of whose two workers has over 350 kB of covers left
+    to send when the first group arrives, more than a pipe buffers, so
+    neither can have finished its share."""
+    return random_context(random.Random(5), 18, 36, 0.4)
+
+
+def started_workers(groups):
+    """The worker processes that the first group of ``groups`` started."""
     before = set(multiprocessing.active_children())
-    groups = iter(BasisStream(golden_context(), worker_count=2))
     next(groups)
-    workers = set(multiprocessing.active_children()) - before
+    return set(multiprocessing.active_children()) - before
+
+
+def test_closing_a_stream_early_terminates_its_workers():
+    groups = iter(BasisStream(busy_workers_table(), worker_count=2))
+    workers = started_workers(groups)
     assert len(workers) == 2
     groups.close()
     for w in workers:
         w.join(timeout=30)
         assert not w.is_alive()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_a_killed_worker_makes_the_stream_raise():
+    ctx = busy_workers_table()
+    total = len(list(BasisStream(ctx)))
+    groups = iter(BasisStream(ctx, worker_count=2))
+    workers = started_workers(groups)
+    victim = min(workers, key=lambda w: w.pid)
+    os.kill(victim.pid, signal.SIGKILL)
+    rest = []
+    with deadline(60), pytest.raises(RuntimeError, match="exited with code"):
+        for group in groups:
+            rest.append(group)
+    assert 1 + len(rest) < total
+    for w in workers:
+        w.join(timeout=30)
+        assert not w.is_alive()
+
+
+def test_a_failing_worker_makes_the_stream_raise():
+    ctx = busy_workers_table()
+    stream = BasisStream(ctx, worker_count=2)
+    # the last sector's job names a column past the table
+    last = max(stream._sectors)
+    edges, rows, _ = stream._sectors[last]
+    stream._sectors[last] = (edges, rows, len(ctx.attributes))
+    groups = []
+    with deadline(60), pytest.raises(IndexError):
+        for group in stream:
+            groups.append(group)
+    assert groups and groups[-1][0][0] < last
 
 
 def test_a_serial_run_never_imports_multiprocessing():

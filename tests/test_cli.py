@@ -436,7 +436,7 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path):
 def test_reader_closing_early_is_not_an_error(tmp_path, args, want_err):
     # about 270 kB of rules in either mode, far more than a pipe buffers,
     # so the writer is still printing when the reader hangs up (``dbasis
-    # run t | head``); stderr reaches end of file only once no pool
+    # run t | head``); stderr reaches end of file only once no sector
     # worker holds it open
     path = write_csv(random_context(random.Random(5), 14, 28, 0.4),
                      tmp_path / "big.csv")
