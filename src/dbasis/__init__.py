@@ -4,15 +4,14 @@ from .basis import (BasisResult, BasisStream, EmptySectorError, Implication, Rul
                     binary_part, compute_basis, evaluation_order,
                     expand_to_original, leave_k_out_rules, measure,
                     ordered_closure, refine_to_d_basis, sector_hypergraph)
-from .context import (ArrowTable, BinaryContext, ParseError, ReductionRecord,
-                      compute_arrows, parse_context, parse_dense_csv,
-                      parse_fimi, reduce_context)
+from .context import (ArrowTable, BinaryContext, OracleSizeError, ParseError,
+                      ReductionRecord, compute_arrows, parse_context,
+                      parse_dense_csv, parse_fimi, reduce_context)
 from .dualization import (Hypergraph, dualize, dualize_streaming,
                           format_edge_list, minimize, parse_edge_list)
 from .lattice import (DRelation, PartialOrder, attribute_order,
                       compute_d_relation, object_order, render_arrow_table,
                       up_objects)
-from .oracle import OracleSizeError
 
 __all__ = [
     "ArrowTable",

@@ -20,10 +20,11 @@ the output order; ``compute_basis`` collects them.  Leave-k-out merges
 its sub-tables' streams and yields packed groups in that order too, with
 no global sort.  Rules become ``Implication`` objects only at the
 library edge, and an object builds its ``Fraction`` confidence from its
-two counts only when a caller reads it.  Output lines of both modes are
-formatted straight from the ints by a renderer (``line_renderer``) that
-spells each label once per run; ``dbasis run`` renders and writes each
-group ``RENDER_SLICE`` lines at a time, one string per slice.
+two counts only when a caller reads it (``fractions`` is imported then,
+so a run never loads it).  Output lines of both modes are formatted
+straight from the ints by one renderer (``line_renderer``) that spells
+each label once per run; ``dbasis run`` renders and writes each group
+``RENDER_SLICE`` lines at a time, one string per slice.
 """
 
 from __future__ import annotations
@@ -32,17 +33,21 @@ import itertools
 import json
 import math
 import os
+import sys
 from contextlib import closing
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from .context import (ArrowTable, BinaryContext, ReductionRecord, _bits,
                       _label_record, _ones, _reduce)
 from .dualization import Hypergraph, _minimal, _search_order, _transversals
 from .lattice import DRelation, PartialOrder, _sector_mask, attribute_order
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
@@ -78,6 +83,7 @@ class Implication:
     def confidence(self) -> Fraction:
         """support / premise_support, derived and never stored; 1 when
         no row has the premise."""
+        from fractions import Fraction
         return Fraction(*_ratio(self.support, self.premise_support))
 
 
@@ -240,20 +246,15 @@ def _sector_rules(cols: Sequence[int], below: Sequence[int], min_support: int,
 # -- refinement ---------------------------------------------------------------
 
 
-def _down_extents(ctx: BinaryContext, order: PartialOrder) -> list[int]:
-    """``down[k]``: the extent of the attributes strictly below ctx's
-    column k (``order`` is ctx's own)."""
-    return [ctx.extent_mask(below) for below in order.below_masks]
-
-
 def _in_d_basis(cols: Sequence[int], down: Sequence[int], b: int,
                 xs: Sequence[int]) -> bool:
     """Does xs -> b survive down-replacement?  The empty premise does.
 
     b is in the closure of a set iff the set's extent lies in b's column,
-    and the extent of X - x + below(x) is ext(X - x) & down[x]
-    (``_down_extents``).  It needs no sector: the pipeline's search
-    reaches the same flags from its critical edges.
+    and the extent of X - x + below(x) is ext(X - x) & down[x], where
+    down[x] is the extent of the columns strictly below x.  It needs no
+    sector: the pipeline's search reaches the same flags from its
+    critical edges.
     """
     # suf[i]: extent of xs[i:]; pre: extent of xs[:i]; -1 is every object
     # (down[x] is a finite mask, so the test below stays finite)
@@ -280,7 +281,7 @@ def refine_to_d_basis(ctx: BinaryContext, order: PartialOrder,
     if order.elements != ctx.attributes:
         raise ValueError("order is not the attribute order of ctx")
     cols, aidx = ctx.column_masks, ctx.attribute_index
-    down = _down_extents(ctx, order)
+    down = [ctx.extent_mask(below) for below in order.below_masks]
     return [Implication(r.premise, r.conclusion, r.support, r.premise_support,
                         len(r.premise) < 2 or _in_d_basis(
                             cols, down, aidx[r.conclusion],
@@ -438,15 +439,19 @@ def _in_workers(job: Callable, jobs: Sequence, procs: int) -> Iterator:
     ahead of the consumer.  A worker that fails or dies makes the
     generator raise; closing it terminates and joins every worker."""
     # imported here, so a serial run never loads it.  The start method is
-    # the platform's default, fork on Linux: a spawned worker starts a
-    # fresh interpreter and imports dbasis before its first job, which
-    # costs more than dualizing the dense-minsup-par table's sectors
+    # fork on Linux whatever the interpreter's default (Python 3.14's is
+    # forkserver there), and the platform's default elsewhere: a worker
+    # that starts a fresh interpreter imports dbasis before its first
+    # job, which costs more than dualizing the dense-minsup-par table's
+    # sectors
     import multiprocessing
+    mp = multiprocessing.get_context(
+        "fork" if sys.platform == "linux" else None)
     workers = []
     try:
         for w in range(procs):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(
+            recv, send = mp.Pipe(duplex=False)
+            worker = mp.Process(
                 target=_work, args=(job, jobs[w::procs], send), daemon=True)
             worker.start()
             workers.append((worker, recv))
@@ -496,7 +501,10 @@ class BasisStream:
     sector) share the sectors round robin, each about one sector ahead
     of the consumer (``_in_workers``); the iterator owns them, so
     closing it early terminates them.  0 picks the machine's CPU count;
-    a negative count is rejected.
+    a negative count is rejected.  On Linux the workers are forked,
+    whatever start method the caller set, so a caller that runs other
+    threads should pass ``worker_count=1``: a forked child holds a copy
+    of any lock another thread held at the fork.
     ``sector_counts`` maps each dualized sector's attribute to its
     number of covers, in column order, as the iteration reaches it.
     ``candidate_count`` counts the rules before the basis kind is applied
@@ -591,7 +599,7 @@ class BasisResult:
 
     ``packed`` holds the rules the query emits, in canonical order, as
     packed rules over the original table's columns: ``(conclusion,
-    premise, ext, in_d_basis)``; ``render_lines`` prints them.  ``rules``
+    premise, ext, in_d_basis)``; ``line_renderer`` prints them.  ``rules``
     is the same list as ``Implication`` objects, and ``record`` the
     reduction's ``ReductionRecord`` read off ``_reduce``'s ``witness``
     and ``saturated`` masks, each built on first access.
@@ -754,36 +762,20 @@ def _jsonl_line(premise: Iterable[str], conclusion: str, sup: int, psup: int,
             f'"in_d_basis": {"true" if flag else "false"}}}')
 
 
-def render_lines(ctx: BinaryContext, rules: Iterable[Flagged],
-                 jsonl: bool = False) -> Iterator[str]:
-    """Rules (packed tuples over ``ctx``'s columns) as output lines,
-    rendered ``RENDER_SLICE`` rules at a time."""
-    render = line_renderer(ctx.attributes, ctx.column_masks, jsonl)
-    rules = iter(rules)
-    while lines := render(itertools.islice(rules, RENDER_SLICE)):
-        yield from lines
-
-
-def render_line(premise: Sequence[str], conclusion: str, support: int,
-                premise_support: int, in_d_basis: bool,
-                jsonl: bool = False) -> str:
-    """One output line; ``premise`` lists its labels in column order.
-
-    The confidence is support / premise_support in lowest terms, and 1
-    when no row has the premise.
-    """
-    names, last = _spellings([*premise, conclusion], jsonl)
-    return (_jsonl_line if jsonl else _text_line)(
-        names[:-1], last[-1], support, premise_support, in_d_basis)
+def _rule_fields(rule: Implication, attr_index: Mapping[str, int],
+                 jsonl: bool) -> tuple:
+    """``rule``'s line fields, spelled as ``line_renderer`` spells them,
+    its premise in ``attr_index``'s column order."""
+    names, last = _spellings(
+        [*sorted(rule.premise, key=attr_index.__getitem__), rule.conclusion],
+        jsonl)
+    return (names[:-1], last[-1], rule.support, rule.premise_support,
+            rule.in_d_basis)
 
 
 def format_rule_text(rule: Implication, attr_index: Mapping[str, int]) -> str:
-    return render_line(sorted(rule.premise, key=attr_index.__getitem__),
-                       rule.conclusion, rule.support, rule.premise_support,
-                       rule.in_d_basis)
+    return _text_line(*_rule_fields(rule, attr_index, False))
 
 
 def format_rule_jsonl(rule: Implication, attr_index: Mapping[str, int]) -> str:
-    return render_line(sorted(rule.premise, key=attr_index.__getitem__),
-                       rule.conclusion, rule.support, rule.premise_support,
-                       rule.in_d_basis, jsonl=True)
+    return _jsonl_line(*_rule_fields(rule, attr_index, True))

@@ -21,10 +21,9 @@ from pathlib import Path
 
 from .basis import (BASIS_KINDS, RENDER_SLICE, BasisStream, RuleQuery,
                     leave_k_out_count, leave_k_out_groups, line_renderer)
-from .context import ParseError, _reduce, parse_context
+from .context import OracleSizeError, ParseError, _reduce, parse_context
 from .dualization import dualize, format_edge_list, parse_edge_list
 from .lattice import render_arrow_table
-from .oracle import OracleSizeError, enumerate_concepts
 
 
 def _read(path: str) -> bytes:
@@ -101,6 +100,8 @@ def _cmd_arrows(args: argparse.Namespace) -> int:
 
 
 def _cmd_concepts(args: argparse.Namespace) -> int:
+    # the brute-force oracle, imported here so no other subcommand loads it
+    from .oracle import enumerate_concepts
     ctx = parse_context(_read(args.table), args.format)
     for concept in enumerate_concepts(ctx):
         extent = " ".join(sorted(concept.extent, key=ctx.object_index.__getitem__))

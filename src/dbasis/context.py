@@ -35,6 +35,10 @@ class ParseError(ValueError):
     """Raised for malformed input tables."""
 
 
+class OracleSizeError(ValueError):
+    """Input exceeds the hard limit of a brute-force oracle."""
+
+
 # _BIT_DIGIT[k] maps each byte to the ASCII digit of its bit k, so one
 # bytes.translate spells a column of packed rows; _DIGIT_BIT maps the
 # ASCII digits to the bytes 0 and 1, as selectors for compress

@@ -1,7 +1,11 @@
-"""Definition-level reference implementations, for tests only.
+"""Definition-level reference implementations.
 
-Everything here is exponential and guarded by hard size limits.  None of
-it shares code with the fast paths it is used to check: concepts come
+The tests check the fast paths against them, and ``dbasis concepts``
+lists a small table's closed sets with ``enumerate_concepts``; ``dbasis
+run`` never imports this module.  Everything here is exponential and
+guarded by hard size limits (``OracleSizeError``, which lives in
+``context`` so the CLI can catch it without loading this module).  None
+of it shares code with the fast paths it is used to check: concepts come
 from subset enumeration, duals from testing all vertex subsets or from
 edge-by-edge multiplication, covers from minimality checks over the
 powerset, and arrows from the lattice itself.
@@ -14,12 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .context import BinaryContext, _bits
+from .context import BinaryContext, OracleSizeError, _bits
 from .dualization import Hypergraph
-
-
-class OracleSizeError(ValueError):
-    """Input exceeds the hard limit of a brute-force oracle."""
 
 
 @dataclass(frozen=True)

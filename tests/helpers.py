@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from dbasis import BinaryContext, Hypergraph, RuleQuery, compute_basis
+from dbasis.basis import line_renderer
 
 # The 6x7 walkthrough table.  Rows 5 and 4 coincide, row 6 is the unit
 # of every closure, column u duplicates c1's support, and column v is
@@ -67,6 +68,12 @@ def random_hypergraph(rng: random.Random, max_vertices: int = 12,
         size = rng.randint(1, nv)
         edges.append(frozenset(rng.sample(range(nv), size)))
     return Hypergraph.from_edges(edges, vertex_count=nv)
+
+
+def packed_lines(ctx: BinaryContext, packed, jsonl: bool = False) -> list:
+    """Packed rules over ``ctx``'s columns as the output lines
+    ``dbasis run`` prints for them."""
+    return line_renderer(ctx.attributes, ctx.column_masks, jsonl)(packed)
 
 
 def sector_candidates(reduced: BinaryContext) -> list:

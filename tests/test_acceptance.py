@@ -17,7 +17,7 @@ from dbasis import (RuleQuery, attribute_order, binary_part, compute_arrows,
                     object_order, ordered_closure, reduce_context,
                     refine_to_d_basis, render_arrow_table, sector_hypergraph,
                     up_objects)
-from dbasis.basis import format_rule_text, render_lines
+from dbasis.basis import RENDER_SLICE, format_rule_text, line_renderer
 from dbasis.oracle import brute_dual, brute_min_covers, replacement_excluded
 
 import conftest
@@ -56,10 +56,13 @@ def text_lines(ctx, rules):
 
 def stream_digest(ctx, packed):
     """sha256 of the text output lines, rendered straight from the packed
-    rules (the same lines ``format_rule_text`` gives for their objects)."""
+    rules ``RENDER_SLICE`` at a time, as ``dbasis run`` renders them (the
+    same lines ``format_rule_text`` gives for their objects)."""
+    render = line_renderer(ctx.attributes, ctx.column_masks)
     h = hashlib.sha256()
-    for line in render_lines(ctx, packed):
-        h.update((line + "\n").encode())
+    for i in range(0, len(packed), RENDER_SLICE):
+        for line in render(packed[i:i + RENDER_SLICE]):
+            h.update((line + "\n").encode())
     return h.hexdigest()
 
 

@@ -19,15 +19,15 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     dualize_streaming, evaluation_order, expand_to_original,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
-from dbasis.basis import (BASIS_KINDS, _down_extents, _in_d_basis,
-                          _sector_edges, _sector_rules, canonical_sort,
-                          format_rule_jsonl, format_rule_text,
-                          leave_k_out_groups, render_lines)
+from dbasis.basis import (BASIS_KINDS, _in_d_basis, _sector_edges,
+                          _sector_rules, canonical_sort, format_rule_jsonl,
+                          format_rule_text, leave_k_out_groups)
 from dbasis.dualization import _minimal, _transversals
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
-from helpers import (GOLDEN_CSV, golden_context, random_context,
-                     reduced_golden_context, sector_candidates)
+from helpers import (GOLDEN_CSV, golden_context, packed_lines,
+                     random_context, reduced_golden_context,
+                     sector_candidates)
 
 
 def rule_key(r):
@@ -386,7 +386,8 @@ def test_search_flags_match_the_refinement_formula_and_the_oracle():
         stream = BasisStream(ctx)
         reduced, order = stream.reduced, stream.order
         ridx = reduced.attribute_index
-        down = _down_extents(reduced, order)
+        # the extent of the columns strictly below each column
+        down = [reduced.extent_mask(below) for below in order.below_masks]
         labels, cols = ctx.attributes, ctx.column_masks
         pairs += sum(below.bit_count() for below in order.below_masks)
         want = {}  # (conclusion, premise) -> flag, from the floor-0 run
@@ -466,7 +467,7 @@ def test_public_function_rebuild_matches_the_pipeline():
             result = compute_basis(ctx, query)
             for jsonl in (False, True):
                 assert (public_rebuild_lines(ctx, query, jsonl)
-                        == list(render_lines(ctx, result.packed, jsonl))
+                        == packed_lines(ctx, result.packed, jsonl)
                         ), (t, query, jsonl)
         record = result.record
         saturated += len(record.saturated_attributes)
@@ -809,6 +810,37 @@ def test_a_failing_worker_makes_the_stream_raise():
         for group in stream:
             groups.append(group)
     assert groups and groups[-1][0][0] < last
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="workers are forked on Linux only")
+def test_workers_are_forked_whatever_the_start_method():
+    # a fresh interpreter whose global start method is spawn (Python
+    # 3.14 defaults to forkserver on Linux): the stream still forks its
+    # two workers, counted at os.fork, and gives the serial run's rules
+    script = (
+        "import multiprocessing, os, random\n"
+        "from dbasis import compute_basis\n"
+        "from helpers import random_context\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "forks, fork = [], os.fork\n"
+        "def counted():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        forks.append(pid)\n"
+        "    return pid\n"
+        "os.fork = counted\n"
+        "ctx = random_context(random.Random(5), 10, 12, 0.4)\n"
+        "serial = compute_basis(ctx).packed\n"
+        "assert compute_basis(ctx, worker_count=2).packed == serial\n"
+        "print(len(forks), multiprocessing.get_start_method())\n")
+    src = os.path.dirname(os.path.dirname(dbasis.basis.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 spawn\n"
 
 
 def test_a_serial_run_never_imports_multiprocessing():
