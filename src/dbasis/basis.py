@@ -3,7 +3,7 @@
 The pipeline: reduce the table, compute arrows and the D-relation, then
 for each attribute b dualize the sector hypergraph whose minimal
 transversals are exactly the minimal non-binary premises implying b.
-The dualizer flags each transversal as it yields it, from its critical
+The dualizer flags each transversal as it finds it, from its critical
 edges, by whether it survives down-replacement (the D-basis proper; see
 ``_sector_rules``), and removed attributes are translated back in.
 
@@ -14,17 +14,28 @@ extent (object mask) in the original table, and the D-basis flag (True
 for binary and expansion rules).  Support is ``popcount(ext &
 col[conclusion])`` and premise support ``popcount(ext)``, so every
 metric is counted on the original table, never the reduced one.
-``BasisStream`` applies the whole query (target, support floor, basis
-kind) and yields the rules it emits one conclusion at a time, which is
-the output order; ``compute_basis`` collects them.  Leave-k-out merges
-its sub-tables' streams and yields packed groups in that order too, with
-no global sort.  Rules become ``Implication`` objects only at the
-library edge, and an object builds its ``Fraction`` confidence from its
-two counts only when a caller reads it (``fractions`` is imported then,
-so a run never loads it).  Output lines of both modes are formatted
-straight from the ints by one renderer (``line_renderer``) that spells
-each label once per run; ``dbasis run`` renders and writes each group
-``RENDER_SLICE`` lines at a time, one string per slice.
+
+A sector job returns the search's node items ``(chosen, ext, leaves,
+flagged)``, each standing for the covers ``chosen + (v,)`` of its leaves
+v, about seven covers an item on a dense table.  ``_group`` turns them
+and the conclusion's binary and expansion rules into its group: it sorts
+and spells each node's premise once and finishes each leaf with a few
+int and string operations.  Within a premise size the group's order is
+that of one int key per rule (see ``_group``).  ``BasisStream`` applies
+the whole query (target, support floor, basis kind) and yields the rules
+it emits one conclusion at a time, which is the output order, as packed
+rules (iterating) or as output lines (``lines``); ``compute_basis``
+collects the packed ones.  Leave-k-out merges its sub-tables' streams
+and yields packed groups in that order too, with no global sort.  Rules
+become ``Implication`` objects only at the library edge, and an object
+builds its ``Fraction`` confidence from its two counts only when a
+caller reads it (``fractions`` is imported then, so a run never loads
+it).  A line has one spelling, ``_text_line`` or ``_jsonl_line``, with
+each label spelled once per run: ``line_renderer`` formats packed rules
+with it, and ``_group`` puts a node's premise text around each leaf's
+label and ends it with the line's part after the premise, the same
+function's output for an empty premise.  ``dbasis run`` writes each
+group ``RENDER_SLICE`` lines at a time, one string per slice.
 """
 
 from __future__ import annotations
@@ -37,7 +48,6 @@ import sys
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     Sequence)
 
@@ -51,7 +61,9 @@ if TYPE_CHECKING:
 
 # (conclusion, premise, ext, in_d_basis)
 Flagged = tuple[int, tuple[int, ...], int, bool]
-_PREMISE = itemgetter(1)
+# a search node with leaf children, its chosen columns sorted: (chosen,
+# ext, leaves, flagged), as ``dualization._transversals`` yields it
+Node = tuple[tuple[int, ...], int, int, int]
 
 
 class EmptySectorError(ValueError):
@@ -199,32 +211,30 @@ def binary_part(ctx: BinaryContext, order: PartialOrder, *,
 
 
 def _good_edges(edges: Sequence[int], rows: Sequence[int],
-                below: Sequence[int]) -> dict[int, int]:
-    """``good[x]``: the mask of the edges whose up-arrow row (``rows``, in
-    edge order) holds every column below x, for each vertex x of the
-    edges that some edge is not good for."""
+                below: Sequence[int]) -> list[int]:
+    """Per edge, the mask of the edges' vertices x it is good for: its
+    up-arrow row (``rows``, in edge order) holds every column below x."""
     vertices = 0
     for e in edges:
         vertices |= e
-    every = (1 << len(edges)) - 1
-    good = {}
+    good = [vertices] * len(rows)
     for x in _bits(vertices):
         if below[x]:
-            g = sum(1 << k for k, row in enumerate(rows)
-                    if not below[x] & ~row)
-            if g != every:
-                good[x] = g
+            for k, row in enumerate(rows):
+                if below[x] & ~row:
+                    good[k] ^= 1 << x
     return good
 
 
 def _sector_rules(cols: Sequence[int], below: Sequence[int], min_support: int,
-                  sector: tuple[list[int], list[int], int]) -> list[Flagged]:
-    """Minimal non-binary covers of column ``bo`` as flagged rules, where
-    ``sector`` is ``(edges, rows, bo)``: the edges and their up-arrow
-    rows over the columns ``cols``, whose ``below`` masks the columns
-    strictly below each.  The search starts from ``cols[bo]``, which
-    holds every premise's extent since the rules are exact, and cuts
-    each branch below ``min_support`` objects.
+                  sector: tuple[list[int], list[int], int]) -> list[Node]:
+    """Minimal non-binary covers of column ``bo`` as the search's node
+    items, each node's chosen columns sorted, where ``sector`` is
+    ``(edges, rows, bo)``: the edges and their up-arrow rows over the
+    columns ``cols``, whose ``below`` masks the columns strictly below
+    each.  The search starts from ``cols[bo]``, which holds every
+    premise's extent since the rules are exact, and cuts each branch
+    below ``min_support`` objects.
 
     X -> b survives down-replacement iff each x in X has a critical edge
     whose row holds below(x): every row lacking b lies in an up-arrow
@@ -237,8 +247,8 @@ def _sector_rules(cols: Sequence[int], below: Sequence[int], min_support: int,
     # and a down arrow at c (so in every column strictly above col(c),
     # col(b) among them).  A full column has no up arrow, hence no edge,
     # and gets the empty premise.
-    return [(bo, tuple(sorted(premise)), ext, flag)
-            for premise, ext, flag in _transversals(
+    return [(tuple(sorted(chosen)), ext, leaves, flagged)
+            for chosen, ext, leaves, flagged in _transversals(
                 edges, cols, cols[bo], min_support,
                 _good_edges(edges, rows, below))]
 
@@ -383,20 +393,6 @@ def evaluation_order(rules: Iterable[Implication],
 # -- the assembled pipeline -----------------------------------------------------
 
 
-def _premise_order(group: Iterable[Flagged]) -> list[Flagged]:
-    """One conclusion's rules by premise size, then premise columns.  Its
-    premises are distinct, so a size's rules sort on them alone: a C key
-    comparing int tuples, not the rule tuples, which is three times as
-    fast."""
-    by_size: dict[int, list[Flagged]] = {}
-    for r in group:
-        by_size.setdefault(len(r[1]), []).append(r)
-    out: list[Flagged] = []
-    for size in sorted(by_size):
-        out += sorted(by_size[size], key=_PREMISE)
-    return out
-
-
 def canonical_sort(rules: Iterable[Implication],
                    ctx: BinaryContext) -> list[Implication]:
     """Sort by conclusion column, premise size, then premise columns."""
@@ -487,12 +483,12 @@ class BasisStream:
     reduction, the attribute order, arrows, and the sector edges of the
     columns it dualizes.  Iterating yields the rules the query emits as
     packed rules over the original table's columns, one non-empty group
-    per conclusion in column order.  A group holds the binary rules, the
-    sector's covers and the expansion rules that conclude its column,
-    after the target and support filters, bucketed by premise size and
-    each bucket sorted on the premise columns (``_premise_order``); so
-    the groups concatenate to the canonical order, and a consumer that
-    drops each group holds one group at a time.
+    per conclusion in column order; ``lines`` yields the same groups as
+    output lines.  A group holds the binary rules, the sector's covers
+    and the expansion rules that conclude its column, after the target
+    and support filters, by premise size, then premise columns
+    (``_group``); so the groups concatenate to the canonical order, and a
+    consumer that drops each group holds one group at a time.
     Under ``d-basis`` the covers flagged False are dropped here, the one
     place the basis kind is applied; ``minimal-covers`` keeps them.
 
@@ -562,35 +558,146 @@ class BasisStream:
                                     [row for _, row in pairs], c)
 
     def __iter__(self) -> Iterator[list[Flagged]]:
+        return self._run(None)
+
+    def lines(self, jsonl: bool = False) -> Iterator[list[str]]:
+        """The groups of ``iter(self)``, each rule as the output line
+        ``line_renderer`` gives it, built from the search's nodes."""
+        return self._run(_Spelled(self.original.attributes, jsonl))
+
+    def _run(self, spelled: _Spelled | None) -> Iterator[list]:
         job = partial(_sector_rules, self.original.column_masks, self._below,
                       self.query.min_support)
         jobs = list(self._sectors.values())
         procs = min(self.worker_count, len(jobs))
         if procs > 1:
             with closing(_in_workers(job, jobs, procs)) as produced:
-                yield from self._groups(produced)
+                yield from self._groups(produced, spelled)
         else:
-            yield from self._groups(map(job, jobs))
+            yield from self._groups(map(job, jobs), spelled)
 
-    def _groups(self, produced: Iterator[list[Flagged]]
-                ) -> Iterator[list[Flagged]]:
-        labels = self.original.attributes
+    def _groups(self, produced: Iterator[list[Node]],
+                spelled: _Spelled | None) -> Iterator[list]:
+        labels, cols = self.original.attributes, self.original.column_masks
         keep_refined = self.query.basis_kind == "minimal-covers"
+        n = len(cols)
+        rbit = [1 << (n - 1 - x) for x in range(n)]
         self.candidate_count = self.refined_count = 0
         for c in self._targets:
-            group = list(self._binary_and_expansion.get(c, ()))
-            self.candidate_count += len(group)
+            rules = self._binary_and_expansion.get(c, [])
+            nodes = next(produced) if c in self._sectors else ()
+            group, covers, refined = _group(c, rules, nodes, keep_refined,
+                                            cols, rbit, spelled)
             if c in self._sectors:
-                covers = next(produced)
-                self.sector_counts[labels[c]] = len(covers)
-                # binary and expansion rules are always in the D-basis,
-                # so only covers are refined away
-                kept = [r for r in covers if r[3]]
-                self.candidate_count += len(covers)
-                self.refined_count += len(covers) - len(kept)
-                group += covers if keep_refined else kept
+                self.sector_counts[labels[c]] = covers
+            # binary and expansion rules are always in the D-basis, so
+            # only covers are refined away
+            self.candidate_count += len(rules) + covers
+            self.refined_count += refined
             if group:
-                yield _premise_order(group)
+                yield group
+
+
+def _group(c: int, rules: Sequence[Flagged], nodes: Iterable[Node],
+           keep_refined: bool, cols: Sequence[int], rbit: Sequence[int],
+           spelled: _Spelled | None) -> tuple[list, int, int]:
+    """Conclusion ``c``'s group, its number of covers and of covers
+    flagged False.
+
+    The group holds the packed ``rules`` (binary and expansion) and the
+    covers of the node items ``nodes``, the flagged ones only unless
+    ``keep_refined``: as packed rules, or as their output lines when
+    ``spelled`` is given.  It comes by premise size, then premise
+    columns.  Among premises of one size, the column tuples ascend as the
+    sums of ``rbit[x] = 1 << (n-1-x)`` over them descend, for the n
+    columns ``cols``: the first column where two premises differ is the
+    highest bit where the sums do, set in the smaller tuple's.  So a
+    node's premise and key are built once and each leaf v adds ``v``
+    and ``rbit[v]`` to them.
+    """
+    rules = list(rules)  # an edgeless sector adds the empty premise
+    n = len(rbit)
+    # size -> (keys, items, exts).  A packed rule is made at the end from
+    # its premise, items[j], and exts[j] = ext << 1 | flag: a tuple made
+    # with a premise the collector has not yet seen stays tracked into
+    # the oldest generation, and millions of those made the full
+    # collections, each walking every rule kept so far, most of a 50x100
+    # compute_basis with workers
+    buckets: dict[int, tuple[list[int], list, list[int]]] = {}
+    covers = kept = 0
+    tails: dict[int, str] = {}  # line tails by support and flag
+    if spelled is not None:
+        name, lead, trail = spelled.premise, spelled.lead, spelled.trail
+    for chosen, ext, leaves, flagged in nodes:
+        if not leaves:  # no edge: the empty premise, flagged True
+            rules.append((c, chosen, ext, True))
+            covers += 1
+            kept += 1
+            continue
+        covers += leaves.bit_count()
+        kept += flagged.bit_count()
+        todo = leaves if keep_refined else flagged
+        if not todo:
+            continue
+        # a leaf v's place in the premise, i, counts the bits of rc above
+        # rbit[v]: the chosen columns before v
+        rc = sum(map(rbit.__getitem__, chosen))
+        bucket = buckets.get(len(chosen) + 1)
+        if bucket is None:
+            bucket = buckets[len(chosen) + 1] = ([], [], [])
+        keys, items, exts = bucket
+        if spelled is None:
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                i = (rc >> n - v).bit_count()
+                keys.append(rc | rbit[v])
+                items.append(chosen[:i] + (v,) + chosen[i:])
+                exts.append((ext & cols[v]) << 1 | (flagged & low != 0))
+            continue
+        # the premise's text before a leaf at position i is pre[i], and
+        # after it post[i]
+        pre = [spelled.head]
+        for x in chosen:
+            pre.append(pre[-1] + lead[x])
+        post = [""]
+        for x in reversed(chosen):
+            post.append(trail[x] + post[-1])
+        post.reverse()
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            i = (rc >> n - v).bit_count()
+            # a cover's extent lies in c's column, where its search
+            # starts, so its support is its premise support
+            psup = (ext & cols[v]).bit_count()
+            sf = psup << 1 | (flagged & low != 0)
+            tail = tails.get(sf)
+            if tail is None:
+                tail = tails[sf] = spelled.tail(c, psup, sf & 1 == 1)
+            keys.append(rc | rbit[v])
+            items.append(f"{pre[i]}{name[v]}{post[i]}{tail}")
+    for r in rules:
+        _, xs, ext, flag = r
+        keys, items, exts = buckets.setdefault(len(xs), ([], [], []))
+        keys.append(sum(map(rbit.__getitem__, xs)))
+        if spelled is None:
+            items.append(xs)
+            exts.append(ext << 1 | flag)
+        else:
+            items.append(spelled.line(r, cols))
+    group: list = []
+    for size in sorted(buckets):
+        keys, items, exts = buckets[size]
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        if spelled is None:
+            group += [(c, items[j], exts[j] >> 1, exts[j] & 1 == 1)
+                      for j in order]
+        else:
+            group += map(items.__getitem__, order)
+    return group, covers, covers - kept
 
 
 @dataclass
@@ -722,15 +829,39 @@ def line_renderer(labels: Sequence[str], cols: Sequence[int],
     """A function from packed rules to their output lines, for rules over
     the columns ``cols`` (object masks) named ``labels``.  It spells each
     label once, here, so a run builds one."""
-    premise, conclusion = _spellings(labels, jsonl)
-    line = _jsonl_line if jsonl else _text_line
-    name = premise.__getitem__
+    spelled = _Spelled(labels, jsonl)
 
     def render(rules: Iterable[Flagged]) -> list[str]:
-        return [line(map(name, xs), conclusion[c], (ext & cols[c]).bit_count(),
-                     ext.bit_count(), flag) for c, xs, ext, flag in rules]
+        return [spelled.line(r, cols) for r in rules]
 
     return render
+
+
+class _Spelled:
+    """The labels as the lines of one mode spell them, once per run:
+    ``premise[x]`` and ``conclusion[x]``.  A line starts with ``head``,
+    then its premise labels with a separator between them: ``lead[x]``
+    is a label with the separator after it, ``trail[x]`` with it before."""
+
+    def __init__(self, labels: Sequence[str], jsonl: bool):
+        self.premise, self.conclusion = _spellings(labels, jsonl)
+        self._line = _jsonl_line if jsonl else _text_line
+        self.head, sep = (_JSONL_HEAD, _JSONL_SEP) if jsonl else ("", "")
+        self.lead = [a + sep for a in self.premise]
+        self.trail = [sep + a for a in self.premise]
+
+    def line(self, rule: Flagged, cols: Sequence[int]) -> str:
+        """The packed ``rule``'s line, its counts taken on ``cols``."""
+        c, xs, ext, flag = rule
+        return self._line(map(self.premise.__getitem__, xs),
+                          self.conclusion[c], (ext & cols[c]).bit_count(),
+                          ext.bit_count(), flag)
+
+    def tail(self, c: int, sup: int, flag: bool) -> str:
+        """A line of conclusion ``c`` from the end of its premise on, its
+        support and premise support both ``sup``."""
+        return self._line((), self.conclusion[c], sup, sup,
+                          flag)[len(self.head):]
 
 
 def _spellings(labels: Sequence[str], jsonl: bool
@@ -753,10 +884,14 @@ def _text_line(premise: Iterable[str], conclusion: str, sup: int, psup: int,
             f"confidence={conf}, d_basis={'true' if flag else 'false'}]")
 
 
+_JSONL_HEAD, _JSONL_SEP = '{"premise": [', ", "
+
+
 def _jsonl_line(premise: Iterable[str], conclusion: str, sup: int, psup: int,
                 flag: bool) -> str:
     num, den = (1, 1) if sup == psup else _ratio(sup, psup)
-    return (f'{{"premise": [{", ".join(premise)}], "conclusion": {conclusion}, '
+    return (f'{_JSONL_HEAD}{_JSONL_SEP.join(premise)}], '
+            f'"conclusion": {conclusion}, '
             f'"support": {sup}, "premise_support": {psup}, '
             f'"confidence_num": {num}, "confidence_den": {den}, '
             f'"in_d_basis": {"true" if flag else "false"}}}')

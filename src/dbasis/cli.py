@@ -54,18 +54,18 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     if k:
         print(f"leave-{k}-out: {leave_k_out_count(ctx, k, query)} sub-tables",
               file=err)
-        groups = leave_k_out_groups(ctx, k, query)
+        render = line_renderer(ctx.attributes, ctx.column_masks, jsonl)
+        groups = (render(g) for g in leave_k_out_groups(ctx, k, query))
     else:
         stream = BasisStream(ctx, query, worker_count=args.workers,
                              full_binary=args.full_binary)
-        groups = iter(stream)
-    render = line_renderer(ctx.attributes, ctx.column_masks, jsonl)
+        groups = stream.lines(jsonl)
     emitted = 0
     with closing(groups):
         for group in groups:
             # one write per slice of lines; an empty group writes nothing
             for i in range(0, len(group), RENDER_SLICE):
-                out.write("\n".join(render(group[i:i + RENDER_SLICE])) + "\n")
+                out.write("\n".join(group[i:i + RENDER_SLICE]) + "\n")
             emitted += len(group)
     if k:
         summary.append(f"rules emitted: {emitted} (leave-{k}-out)")

@@ -9,18 +9,28 @@ It grows a partial transversal one vertex at a time, always branching
 on a still-uncovered edge, and keeps for every chosen vertex the set of
 edges only it hits (its critical edges).  Each node skips, by one mask,
 the branch candidates that hit every critical edge of some chosen
-vertex, so every yielded set is minimal by construction, and yields a
-child that covers the last edges in place, without pushing it.  The
-candidate-set bookkeeping yields each minimal transversal exactly once.
+vertex, so every transversal is minimal by construction.  The
+candidate-set bookkeeping gives each minimal transversal exactly once.
+
+Most transversals are leaf children of a few nodes: a candidate that
+hits every uncovered edge (one AND over them, taken while the branch
+edge is picked) covers the last edges and needs no node of its own.  So
+the kernel yields one item per node with leaf children, ``(chosen, ext,
+leaves, flagged)``, whose mask ``leaves`` stands for the transversals
+``chosen + (v,)``, and pushes only the other candidates.  A consumer
+builds what a node's transversals share once and finishes each leaf
+with a few int operations; ``dualize_streaming`` expands the leaves in
+ascending v, the order the search finds them in.
 
 Each transversal comes with a flag read off the same critical edges:
-given a mask of "good" edges per vertex, it is True iff every chosen
+given per edge the vertices it is good for, it is True iff every chosen
 vertex has a good critical edge.  The rule pipeline marks an edge good
 for x when its up-arrow row holds every column below x, which makes the
 flag the D-basis flag (Adaricheva, Nation & Rand, "Ordered direct
-implicational basis of a finite closure system", 2013).  The children
-that would lose that property are found by one more mask per node, built
-at the node's first leaf, so the flag costs one mask test per leaf.
+implicational basis of a finite closure system", 2013).  A leaf's
+critical edges are the uncovered ones, so one OR of their good masks
+and one more mask per node, of the children that would leave a chosen
+vertex without a good critical edge, give the node's ``flagged`` leaves.
 
 The search can also carry an extent: each node holds a start mask
 AND-ed with the chosen vertices' masks (in the rule pipeline, the
@@ -40,7 +50,7 @@ convert back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .context import _bits, _transpose
 
@@ -110,52 +120,74 @@ def minimize(h: Hypergraph) -> Hypergraph:
 
 def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
                   start: int = 0, floor: int = 0,
-                  good: Mapping[int, int] | None = None
-                  ) -> Iterator[tuple[tuple[int, ...], int, bool]]:
-    """Yield ``(chosen, extent, flag)`` per minimal transversal.
+                  good: Sequence[int] | None = None
+                  ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """Yield ``(chosen, extent, leaves, flagged)`` per search node with
+    leaf children.
 
-    ``edges`` are vertex masks; an edge 0 has no transversal and no
-    edge gives the empty one.  ``chosen`` is a tuple of the
-    transversal's vertices, in the order the search took them.  The
-    extent is ``start`` AND-ed with the chosen vertices' ``masks`` (0 by
-    default).  Only transversals with at least ``floor`` extent bits are
-    yielded, in the order they come without a floor.
+    ``edges`` are vertex masks; an edge 0 has no transversal.  Each
+    vertex v of the mask ``leaves`` gives the minimal transversal
+    ``chosen + (v,)``: ``chosen`` is a tuple of the node's vertices, in
+    the order the search took them.  The node's extent is ``start``
+    AND-ed with the chosen vertices' ``masks`` (0 by default), so the
+    transversal's is ``extent & masks[v]``.  Only transversals with at
+    least ``floor`` extent bits are given, in the order they come without
+    a floor, which expands each item's leaves in ascending v.  No edge
+    gives the one item ``((), start, 0, 0)``: no leaf, and its empty
+    chosen set is the one transversal, flagged True.
 
-    ``good`` maps a vertex to a mask over edge positions, the edges good
-    for it; a vertex it lacks has every edge good.  The flag is True iff
-    every chosen vertex has a good critical edge, so without ``good``
-    every flag is True.  (In the rule pipeline an edge is good for x
-    when its up-arrow row holds every column below x, and the flag is
-    the D-basis flag.)
+    ``good`` holds per edge the mask of the vertices it is good for
+    (without it, every edge is good for every vertex).  ``flagged``, a part of
+    ``leaves``, marks the transversals each of whose vertices has a good
+    critical edge.  (In the rule pipeline an edge is good for x when its
+    up-arrow row holds every column below x, and the flag is the D-basis
+    flag.)
 
     Per node a ``forbid`` mask skips the children that would leave a
-    chosen vertex redundant, and a child that covers every edge is a
-    leaf.  At the node's first leaf that meets the floor a ``kill`` mask,
-    built like ``forbid``, takes the children that would leave a chosen
-    vertex of ``good`` without a good critical edge.
+    chosen vertex redundant.  The leaves are the other candidates that
+    hit every uncovered edge; only the rest are pushed.  A leaf's critical
+    edges are the uncovered ones, so it is flagged when one of them is
+    good for it and it is not in ``kill``, built like ``forbid``: the
+    candidates that would leave a chosen vertex without a good critical
+    edge.
     """
     if start.bit_count() < floor:
         return
     if not edges:
-        yield (), start, True
+        yield (), start, 0, 0
         return
-    good = good or {}
     n = max(edges).bit_length()
     vert_edges = _transpose(edges, n)
+    every = (1 << n) - 1
+    # the edges good for each vertex that some edge is not good for
+    good_of = {}
+    if good is not None:
+        vertices = 0
+        for e in edges:
+            vertices |= e
+        missing = 0
+        for g in good:
+            missing |= vertices & ~g
+        good_of = {x: sum(1 << k for k, g in enumerate(good) if g >> x & 1)
+                   for x in _bits(missing)}
     masks = [0] * n if masks is None else masks
     # a node: chosen, uncovered edges (never 0), candidates, extent, and
     # crit[k], the edges only chosen[k] hits
-    stack = [((), (1 << len(edges)) - 1, (1 << n) - 1, start, [])]
+    stack = [((), (1 << len(edges)) - 1, every, start, [])]
     while stack:
         chosen, uncov, cand, ext, crit = stack.pop()
-        # take an uncovered edge with the fewest remaining candidates
+        # take an uncovered edge with the fewest remaining candidates,
+        # and AND the uncovered edges into hit, the vertices on all of them
         best_c = -1
         best_n = n + 1
+        hit = every
         rest = uncov
         while rest:
             low = rest & -rest
             rest ^= low
-            c = edges[low.bit_length() - 1] & cand
+            e = edges[low.bit_length() - 1]
+            hit &= e
+            c = e & cand
             k = c.bit_count()
             if k < best_n:
                 best_n, best_c = k, c
@@ -174,43 +206,59 @@ def _transversals(edges: Sequence[int], masks: Sequence[int] | None = None,
                 cu ^= low
                 f &= edges[low.bit_length() - 1]
             forbid |= f
+        # the leaves cover the last edges; only the rest of todo is pushed
         todo = best_c & ~forbid
-        kill = None  # built at the first leaf: most nodes have none
+        leaves = todo & hit
+        todo ^= leaves
+        if floor:
+            # below the floor no transversal under v reaches it
+            rest = leaves
+            leaves = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (ext & masks[low.bit_length() - 1]).bit_count() >= floor:
+                    leaves |= low
+        if leaves:
+            # with every edge good for every vertex, each leaf is flagged
+            flagged = leaves
+            if good_of:
+                # ghit: the vertices some uncovered edge, a critical edge
+                # of each leaf, is good for
+                ghit = 0
+                rest = uncov
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    ghit |= good[low.bit_length() - 1]
+                # kill: the candidates hitting every good critical edge
+                # of some chosen vertex; when all its critical edges are
+                # good those are in forbid
+                kill = 0
+                for x, cu in zip(chosen, crit):
+                    g = cu & good_of.get(x, cu)
+                    if g != cu:
+                        f = best_c
+                        while g and f:
+                            low = g & -g
+                            g ^= low
+                            f &= edges[low.bit_length() - 1]
+                        kill |= f
+                flagged &= ghit & ~kill
+            yield chosen, ext, leaves, flagged
         while todo:
             low = todo & -todo
             todo ^= low
             v = low.bit_length() - 1
             ne = ext & masks[v]
-            # below the floor no transversal under v reaches it
             if ne.bit_count() >= floor:
                 ve = vert_edges[v]
-                left = uncov & ~ve
-                if left:
-                    kept = [cu & ~ve for cu in crit]
-                    kept.append(uncov & ve)
-                    # the earlier branch candidates, taken or skipped,
-                    # stay available to the later branches
-                    stack.append((chosen + (v,), left,
-                                  cand | best_c & (low - 1), ne, kept))
-                    continue
-                if kill is None:
-                    # kill: the candidates hitting every good critical
-                    # edge of some chosen vertex; for a vertex good lacks
-                    # those are in forbid, so only good's vertices count
-                    kill = 0
-                    for x, cu in zip(chosen, crit):
-                        if x in good:
-                            cu &= good[x]
-                            f = best_c
-                            while cu and f:
-                                e = cu & -cu
-                                cu ^= e
-                                f &= edges[e.bit_length() - 1]
-                            kill |= f
-                # v's critical edges are the uncovered ones
-                g = good.get(v)
-                yield (chosen + (v,), ne,
-                       not kill & low and (g is None or uncov & g != 0))
+                kept = [cu & ~ve for cu in crit]
+                kept.append(uncov & ve)
+                # the earlier branch candidates, taken or skipped, stay
+                # available to the later branches
+                stack.append((chosen + (v,), uncov & ~ve,
+                              cand | best_c & (low - 1), ne, kept))
 
 
 def dualize_streaming(h: Hypergraph,
@@ -224,9 +272,13 @@ def dualize_streaming(h: Hypergraph,
     """
     ids, edges = _edge_masks(h, "dualize_streaming")
     count = 0
-    for chosen, _ext, _flag in _transversals(_minimal(edges)):
-        sink(frozenset(ids[k] for k in chosen))
-        count += 1
+    for chosen, _ext, leaves, _flagged in _transversals(_minimal(edges)):
+        if not leaves:  # no edge: the empty transversal
+            sink(frozenset())
+            count += 1
+        for v in _bits(leaves):
+            sink(frozenset(ids[k] for k in chosen + (v,)))
+            count += 1
     return count
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 
 from dbasis import BinaryContext, Hypergraph, RuleQuery, compute_basis
-from dbasis.basis import line_renderer
+from dbasis.basis import _sector_rules, line_renderer
+from dbasis.context import _bits
+from dbasis.dualization import _transversals
 
 # The 6x7 walkthrough table.  Rows 5 and 4 coincide, row 6 is the unit
 # of every closure, column u duplicates c1's support, and column v is
@@ -83,3 +85,33 @@ def sector_candidates(reduced: BinaryContext) -> list:
     result = compute_basis(reduced, RuleQuery(basis_kind="minimal-covers"))
     assert result.reduced == reduced
     return [r for r in result.rules if len(r.premise) != 1]
+
+
+def leaf_items(nodes, masks=None) -> list:
+    """Search node items ``(chosen, ext, leaves, flagged)`` expanded leaf
+    by leaf, in ascending v: ``(chosen + (v,), ext & masks[v], flag)``
+    per transversal (extent 0 without ``masks``).  An item with no leaf
+    is its own chosen set, flagged True.  Every item's ``flagged`` must
+    be part of its ``leaves``."""
+    out = []
+    for chosen, ext, leaves, flagged in nodes:
+        assert flagged & ~leaves == 0, (chosen, leaves, flagged)
+        if not leaves:
+            out.append((chosen, ext, True))
+        for v in _bits(leaves):
+            out.append((chosen + (v,), 0 if masks is None else ext & masks[v],
+                        flagged >> v & 1 == 1))
+    return out
+
+
+def transversals(edges, masks=None, start=0, floor=0, good=None) -> list:
+    """``_transversals``'s items, expanded by ``leaf_items``."""
+    return leaf_items(_transversals(edges, masks, start, floor, good), masks)
+
+
+def sector_covers(cols, below, min_support, sector) -> list:
+    """``_sector_rules``'s items expanded by ``leaf_items`` into packed
+    rules ``(conclusion, premise, ext, flag)``, premises sorted."""
+    return [(sector[2], tuple(sorted(xs)), ext, flag)
+            for xs, ext, flag in leaf_items(
+                _sector_rules(cols, below, min_support, sector), cols)]

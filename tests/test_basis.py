@@ -20,14 +20,14 @@ from dbasis import (BasisStream, BinaryContext, EmptySectorError,
                     leave_k_out_rules, measure, object_order, ordered_closure,
                     reduce_context, refine_to_d_basis, sector_hypergraph)
 from dbasis.basis import (BASIS_KINDS, _in_d_basis, _sector_edges,
-                          _sector_rules, canonical_sort, format_rule_jsonl,
-                          format_rule_text, leave_k_out_groups)
-from dbasis.dualization import _minimal, _transversals
+                          canonical_sort, format_rule_jsonl, format_rule_text,
+                          leave_k_out_groups)
+from dbasis.dualization import _minimal
 from dbasis.oracle import brute_min_covers, replacement_excluded, rule_metrics
 
 from helpers import (GOLDEN_CSV, golden_context, packed_lines,
                      random_context, reduced_golden_context,
-                     sector_candidates)
+                     sector_candidates, sector_covers, transversals)
 
 
 def rule_key(r):
@@ -176,7 +176,7 @@ def sector_keys(ctx, arrows, d, b):
     labels, cols = ctx.attributes, ctx.column_masks
     below = attribute_order(ctx).below_masks
     return [(frozenset(labels[j] for j in xs), labels[c])
-            for c, xs, _, _ in _sector_rules(
+            for c, xs, _, _ in sector_covers(
                 cols, below, 0,
                 sector_job(ctx, arrows, d, ctx.attribute_index[b]))]
 
@@ -291,7 +291,7 @@ def test_no_sector_has_a_one_column_transversal():
                random_context(rng, rng.randint(1, 8), rng.randint(1, 8),
                               rng.choice((0.3, 0.5, 0.7))))
         for edges, _, _ in BasisStream(ctx)._sectors.values():
-            assert all(len(xs) >= 2 for xs, _, _ in _transversals(edges)), t
+            assert all(len(xs) >= 2 for xs, _, _ in transversals(edges)), t
         # the argument needs a clarified table only, not a reduced one
         ctx = clarified(ctx)
         unreduced += (len(reduce_context(ctx)[0].attributes)
@@ -301,7 +301,7 @@ def test_no_sector_has_a_one_column_transversal():
         cols = ctx.column_masks
         below = attribute_order(ctx).below_masks
         for bj in range(len(cols)):
-            for _, xs, _, _ in _sector_rules(
+            for _, xs, _, _ in sector_covers(
                     cols, below, 0, sector_job(ctx, arrows, d, bj)):
                 assert len(xs) != 1, (t, bj, xs)
     assert unreduced > 100
@@ -393,10 +393,10 @@ def test_search_flags_match_the_refinement_formula_and_the_oracle():
         want = {}  # (conclusion, premise) -> flag, from the floor-0 run
         for floor in range(3):
             for edges, rows, c in stream._sectors.values():
-                rules = _sector_rules(cols, stream._below, floor,
+                rules = sector_covers(cols, stream._below, floor,
                                       (edges, rows, c))
                 # without good masks the same search flags every one True
-                plain = list(_transversals(edges, cols, cols[c], floor, {}))
+                plain = transversals(edges, cols, cols[c], floor)
                 assert [(tuple(sorted(xs)), ext) for xs, ext, _ in plain] == [
                     (xs, ext) for _, xs, ext, _ in rules], (t, floor, c)
                 assert all(flag for _, _, flag in plain), (t, floor, c)
@@ -910,7 +910,7 @@ def test_support_floor_prunes_without_changing_the_output():
             stream = BasisStream(ctx, RuleQuery(min_support=k))
             cols = ctx.column_masks
             for edges, rows, c in stream._sectors.values():
-                for r in _sector_rules(cols, stream._below, k,
+                for r in sector_covers(cols, stream._below, k,
                                        (edges, rows, c)):
                     assert (r[2] & cols[c]).bit_count() >= k, (t, k, r)
             if t % 8 == 0:

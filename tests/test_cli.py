@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import dbasis.cli
 from dbasis import (BasisStream, BinaryContext, RuleQuery, compute_arrows,
                     compute_basis, leave_k_out_rules, parse_context,
                     reduce_context, render_arrow_table)
-from dbasis.basis import (_implications, format_rule_jsonl,
+from dbasis.basis import (BASIS_KINDS, _implications, format_rule_jsonl,
                           format_rule_text, leave_k_out_groups)
 from dbasis.cli import build_parser, main
 
@@ -627,6 +628,50 @@ def test_labels_render_as_spelled_in_both_formats():
             seen.update(premise, [labels[c]])
             inexact |= sup < psup
     assert seen == set(ODD_LABELS) and inexact
+
+
+def test_run_prints_the_library_rules_as_line_renderer_renders_them(
+        monkeypatch):
+    # dbasis run builds each line around its search node's premise text;
+    # the library yields packed rules, which line_renderer renders one at
+    # a time.  Both must give the same bytes.  The table reaches run as a
+    # context, so labels a CSV line cannot hold (a line separator) take
+    # part too.
+    rng = random.Random(113)
+    tables = [(random_context(rng, rng.randint(8, 14), rng.randint(7, 10),
+                              density), ("text", "jsonl"))
+              for density in (0.45, 0.6, 0.75)]
+    base = random_context(rng, 12, len(ODD_LABELS), 0.6)
+    tables.append((BinaryContext(base.objects, ODD_LABELS, [
+        [int(base.bit(i, j)) for j in range(len(ODD_LABELS))]
+        for i in range(len(base.objects))]), ("jsonl",)))
+    monkeypatch.setattr(dbasis.cli, "_read", lambda path: b"")
+    lines = set()
+    for t, (ctx, outputs) in enumerate(tables):
+        monkeypatch.setattr(dbasis.cli, "parse_context",
+                            lambda data, fmt, ctx=ctx: ctx)
+        for output, kind, floor, target in itertools.product(
+                outputs, BASIS_KINDS, range(3), (None, ctx.attributes[1])):
+            query = RuleQuery(target=target, min_support=floor,
+                              basis_kind=kind)
+            want = packed_lines(ctx, compute_basis(ctx, query).packed,
+                                jsonl=output == "jsonl")
+            lines.update(want)
+            for workers in (1, 2) if floor == 1 else (1,):
+                argv = ["run", "-", "--output", output, "--basis", kind,
+                        "--min-support", str(floor), "--workers", str(workers)]
+                if target is not None:
+                    argv += ["--target", target]
+                out = io.StringIO()
+                assert dbasis.cli.run(build_parser().parse_args(argv), out,
+                                      io.StringIO()) == 0
+                assert out.getvalue() == "".join(
+                    line + "\n" for line in want), (t, argv)
+    assert any("d_basis=false" in line for line in lines)
+    assert any('"in_d_basis": false' in line for line in lines)
+    assert any('"premise": []' in line for line in lines)
+    assert all(any(json.dumps(a, ensure_ascii=False) + "," in line
+                   for line in lines) for a in ODD_LABELS)
 
 
 def test_render_line_confidences():

@@ -8,7 +8,7 @@ from dbasis.context import _transpose
 from dbasis.dualization import _transversals
 from dbasis.oracle import berge_dual, brute_dual
 
-from helpers import random_hypergraph
+from helpers import leaf_items, random_hypergraph, transversals
 
 
 def edge_sets(h):
@@ -121,6 +121,14 @@ def has_good_critical_edges(edges, xs, good):
     return True
 
 
+def good_per_edge(good, edge_count, vertex_count):
+    """Per-vertex good-edge masks (every edge for a vertex ``good``
+    lacks) as the kernel takes them: per edge, the vertices it is good
+    for."""
+    return [sum(1 << v for v in range(vertex_count)
+                if good.get(v, -1) >> k & 1) for k in range(edge_count)]
+
+
 def check_kernel(h, want, rng):
     """The kernel on h yields each transversal of ``want`` once, carries
     the extents of random masks, flags by random good-edge masks, and
@@ -128,21 +136,22 @@ def check_kernel(h, want, rng):
     they are, so a search that reused or changed one after yielding it
     would fail here."""
     edges = edge_masks(h)
-    plain = [xs for xs, ext, flag in _transversals(edges)]
+    plain = [xs for xs, ext, flag in transversals(edges)]
     assert all(type(xs) is tuple for xs in plain)
     assert len(plain) == len(set(map(frozenset, plain)))
     assert set(map(frozenset, plain)) == want
     # no good masks: every edge is good, and every flag True
-    assert all(flag for _, _, flag in _transversals(edges))
+    assert all(flag for _, _, flag in transversals(edges))
     good = {v: rng.getrandbits(len(edges)) for v in range(h.vertex_count)
             if rng.random() < 0.6}
-    flagged = list(_transversals(edges, good=good))
+    per_edge = good_per_edge(good, len(edges), h.vertex_count)
+    flagged = transversals(edges, good=per_edge)
     assert [xs for xs, _, _ in flagged] == plain
     assert [flag for _, _, flag in flagged] == [
         has_good_critical_edges(edges, xs, good) for xs in plain]
     masks = [rng.getrandbits(12) for _ in range(h.vertex_count)]
     start, within = rng.getrandbits(12) | 0xF00, rng.getrandbits(12)
-    carried = list(_transversals(edges, masks=masks, start=start, good=good))
+    carried = transversals(edges, masks=masks, start=start, good=per_edge)
     assert [(xs, flag) for xs, _, flag in carried] == [
         (xs, flag) for xs, _, flag in flagged]
     for xs, ext, _ in carried:
@@ -151,8 +160,8 @@ def check_kernel(h, want, rng):
             want_ext &= masks[v]
         assert ext == want_ext
     for floor in range(within.bit_count() + 2):
-        got = list(_transversals(edges, masks=masks, start=start & within,
-                                 floor=floor, good=good))
+        got = transversals(edges, masks=masks, start=start & within,
+                           floor=floor, good=per_edge)
         assert got == [(xs, ext & within, flag) for xs, ext, flag in carried
                        if (ext & within).bit_count() >= floor]
 
@@ -180,28 +189,78 @@ def test_kernel_on_hypergraphs_deep_enough_to_reject_redundant_children():
 
 
 def test_single_edge_gives_one_vertex_leaves_at_the_root():
-    assert list(_transversals([0b111])) == [((0,), 0, True), ((1,), 0, True),
-                                            ((2,), 0, True)]
+    assert transversals([0b111]) == [((0,), 0, True), ((1,), 0, True),
+                                     ((2,), 0, True)]
     masks = [0b001, 0b011, 0b111]
-    assert list(_transversals([0b111], masks=masks, start=0b111,
-                              floor=2)) == [((1,), 0b011, True),
-                                            ((2,), 0b111, True)]
-    assert list(_transversals([0b111], masks=masks, start=0b111,
-                              floor=3)) == [((2,), 0b111, True)]
-    # a root leaf's one critical edge is the edge itself
-    assert list(_transversals([0b111], good={0: 0, 2: 1})) == [
+    assert transversals([0b111], masks=masks, start=0b111,
+                        floor=2) == [((1,), 0b011, True),
+                                     ((2,), 0b111, True)]
+    assert transversals([0b111], masks=masks, start=0b111,
+                        floor=3) == [((2,), 0b111, True)]
+    # a root leaf's one critical edge is the edge itself; the edge is
+    # good for vertices 1 and 2
+    assert transversals([0b111], good=[0b110]) == [
         ((0,), 0, False), ((1,), 0, True), ((2,), 0, True)]
 
 
+def test_a_node_whose_candidates_are_all_leaves_is_one_item():
+    # the root of one edge: every candidate covers the edge, so the
+    # search yields the root once, its leaves a mask
+    assert list(_transversals([0b111])) == [((), 0, 0b111, 0b111)]
+    assert list(_transversals([0b111], good=[0b110])) == [
+        ((), 0, 0b111, 0b110)]
+    masks = [0b001, 0b011, 0b111]
+    assert list(_transversals([0b111], masks=masks, start=0b111,
+                              floor=2)) == [((), 0b111, 0b110, 0b110)]
+    # two disjoint edges: under either vertex of {0, 1}, both vertices of
+    # {2, 3} close the search; the later branch comes first off the stack
+    assert list(_transversals([0b0011, 0b1100])) == [
+        ((1,), 0, 0b1100, 0b1100), ((0,), 0, 0b1100, 0b1100)]
+    # the triangle: under 1 both 0 and 2 are leaves, under 0 only 2 is
+    # a candidate ({0, 1} was found under 1)
+    items = list(_transversals([0b011, 0b110, 0b101]))
+    assert items == [((1,), 0, 0b101, 0b101), ((0,), 0, 0b100, 0b100)]
+    assert leaf_items(items) == [((1, 0), 0, True), ((1, 2), 0, True),
+                                 ((0, 2), 0, True)]
+
+
+def test_every_item_flags_a_part_of_its_leaves():
+    rng = random.Random(37)
+    items = partly = 0
+    for _ in range(200):
+        h = random_hypergraph(rng, 9, 7)
+        edges = edge_masks(h)
+        good = good_per_edge({v: rng.getrandbits(len(edges))
+                              for v in range(h.vertex_count)},
+                             len(edges), h.vertex_count)
+        for _, _, leaves, flagged in _transversals(edges, good=good):
+            assert flagged & ~leaves == 0
+            items += 1
+            partly += 0 < flagged < leaves
+    assert items > 250 and partly > 50
+
+
 def test_floor_argument_checks():
-    assert list(_transversals([], masks=[1, 2], start=3, floor=3)) == []
-    assert list(_transversals([], masks=[1, 2], start=3, floor=2)) == [
+    assert transversals([], masks=[1, 2], start=3, floor=3) == []
+    assert transversals([], masks=[1, 2], start=3, floor=2) == [
         ((), 3, True)]
-    assert list(_transversals([])) == [((), 0, True)]
+    assert transversals([]) == [((), 0, True)]
+
+
+def test_the_edgeless_search_is_one_leafless_item():
+    # no edge: one item with no leaf, whose empty chosen set is the one
+    # transversal, flagged True whatever good says
+    assert list(_transversals([])) == [((), 0, 0, 0)]
+    assert list(_transversals([], masks=[1, 2], start=3, floor=2,
+                              good=[])) == [((), 3, 0, 0)]
+    assert leaf_items(_transversals([], start=3)) == [((), 3, True)]
+    seen = []
+    assert dualize_streaming(Hypergraph(3, ()), seen.append) == 1
+    assert seen == [frozenset()]
 
 
 def test_kernel_emits_vertex_ids_and_no_transversal_of_an_empty_edge():
-    got = [sorted(xs) for xs, _, _ in _transversals([0b011, 0b110])]
+    got = [sorted(xs) for xs, _, _ in transversals([0b011, 0b110])]
     assert sorted(got) == [[0, 2], [1]]
     assert list(_transversals([0b1, 0])) == []
     assert list(_transversals([0])) == []
@@ -217,7 +276,7 @@ def test_vertex_ids_past_bit_64_and_128():
         want = edge_sets(berge_dual(h))
         # the kernel on the ids as given; the library renumbers them
         assert {frozenset(xs)
-                for xs, _, _ in _transversals(edge_masks(h))} == want
+                for xs, _, _ in transversals(edge_masks(h))} == want
         assert edge_sets(dualize(h)) == want
         seen = []
         assert dualize_streaming(h, seen.append) == len(want)
